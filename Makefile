@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci lint vet build test race race-obs race-pipeline race-sampling race-served race-shard race-journal bench bench-snapshot bench-compare chaos report
+.PHONY: ci lint vet build test race race-obs race-pipeline race-sampling race-served race-shard race-journal bench bench-snapshot bench-compare bench-e2e-test chaos report
 
-ci: lint vet build race-obs race-pipeline race-sampling race-served race-shard race-journal race bench chaos
+ci: lint vet build race-obs race-pipeline race-sampling race-served race-shard race-journal race bench bench-e2e-test chaos
 
 # Project-native static analysis: the syntactic passes (determinism,
 # metric naming, the error contract, the sticky-sink contract) plus the
@@ -66,13 +66,14 @@ race-shard:
 	$(GO) test -race -count=2 -run 'TestSharded|TestShards' ./internal/pipeline ./internal/experiments ./internal/served
 
 # One pass over the pipeline-throughput and instrumentation-overhead
-# benchmarks: a smoke check that the batched dataflow and its Counted
-# wrappers keep working, not a timing run.
+# benchmarks: a smoke check that the fused dataflow, with and without its
+# stage metrics, keeps working, not a timing run.
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkPipeline|BenchmarkAblation(ObjectCache|Buffer)' -benchtime=1x -count=1 ./internal/pipeline .
 
-# Record the pipeline performance baseline: run the throughput and
-# instrumentation-overhead benchmarks at full benchtime and write the
+# Record the pipeline performance baseline: run the throughput,
+# instrumentation-overhead (metrics off vs on, one fused stack either way),
+# sampled-tracing and sharding benchmarks at full benchtime and write the
 # parsed results to BENCH_PIPELINE.json (committed, so regressions show
 # up as diffs).  Not part of ci — timing runs need a quiet machine.
 bench-snapshot:
@@ -87,6 +88,12 @@ bench-snapshot:
 bench-compare:
 	$(GO) test -run='^$$' -bench='BenchmarkPipeline(Throughput|InstrumentationOverhead|SampledTracing|Sharded)' -count=1 ./internal/pipeline \
 		| $(GO) run ./cmd/nvbench -compare BENCH_PIPELINE.json
+
+# The end-to-end benchmark is its own module (benchmark/go.mod), so the
+# root `go test ./...` skips it; run its tests so API changes in the layers
+# it drives cannot break it unnoticed.
+bench-e2e-test:
+	cd benchmark && $(GO) test ./...
 
 # Chaos gate: the fault-injection and resilience packages race-enabled,
 # plus one seeded degraded sweep — it must complete (exit 0) with partial

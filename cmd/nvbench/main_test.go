@@ -76,6 +76,18 @@ func TestParseNoProcsSuffix(t *testing.T) {
 	}
 }
 
+// TestParseKeyedSubBenchmark: a "key=value" sub-benchmark keeps its whole
+// name, and only the trailing -N is read as GOMAXPROCS.
+func TestParseKeyedSubBenchmark(t *testing.T) {
+	b, err := parseResult("BenchmarkPipelineSampledTracing/period=64-4 10 5806449 ns/op")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Name != "PipelineSampledTracing/period=64" || b.Procs != 4 {
+		t.Errorf("benchmark = %+v, want name PipelineSampledTracing/period=64 procs 4", b)
+	}
+}
+
 func TestRunWritesSnapshotFile(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "bench.txt")

@@ -11,12 +11,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 
-	"nvscavenger/internal/apps"
 	"nvscavenger/internal/cli"
 	"nvscavenger/internal/cpusim"
 	"nvscavenger/internal/obs"
@@ -62,22 +62,13 @@ func run(args []string, out io.Writer) error {
 	reg := obs.NewRegistry()
 	var base float64
 	for _, lat := range lats {
-		app, err := apps.New(*appName, *scale)
-		if err != nil {
-			return err
-		}
 		c := cpusim.MustNew(cpusim.PaperConfig(lat))
 		ls := []obs.Label{obs.L("app", *appName), obs.L("latency_ns", strconv.FormatFloat(lat, 'g', -1, 64))}
 		// The core is a batched trace.PerfSink: the tracer stages events and
 		// flushes references plus instruction gaps in one call per batch.
-		stack, err := pipeline.Build(pipeline.Config{Perf: c, Metrics: reg, Labels: ls})
+		stack, _, err := pipeline.Run(context.Background(), pipeline.Config{Perf: c, Metrics: reg, Labels: ls},
+			*appName, *scale, *iters, 1)
 		if err != nil {
-			return err
-		}
-		if err := apps.Run(app, stack.Tracer, *iters); err != nil {
-			return err
-		}
-		if err := stack.Close(); err != nil {
 			return err
 		}
 		st := c.Stats()

@@ -13,12 +13,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
-	"nvscavenger/internal/apps"
 	"nvscavenger/internal/cachesim"
 	"nvscavenger/internal/cli"
 	"nvscavenger/internal/dramsim"
@@ -67,10 +67,6 @@ func run(args []string, out io.Writer) error {
 		if err := cli.ValidateApp(*appName); err != nil {
 			return err
 		}
-		app, err := apps.New(*appName, *scale)
-		if err != nil {
-			return err
-		}
 		// With -dump the trace writer rides the pipeline as a tee'd
 		// transaction sink, so the file fills in batches during the run
 		// instead of from a second pass over the captured slice.
@@ -78,6 +74,7 @@ func run(args []string, out io.Writer) error {
 		var dumpFile *os.File
 		var txSinks []trace.TxSink
 		if *dump != "" {
+			var err error
 			dumpFile, err = os.Create(*dump)
 			if err != nil {
 				return err
@@ -89,32 +86,25 @@ func run(args []string, out io.Writer) error {
 			txSinks = append(txSinks, dumpWriter)
 		}
 		cacheCfg := cachesim.PaperConfig()
-		stack, err := pipeline.Build(pipeline.Config{
+		stack, _, err := pipeline.Run(context.Background(), pipeline.Config{
 			StackMode: memtrace.FastStack,
 			Cache:     &cacheCfg,
 			CaptureTx: true,
 			TxSinks:   txSinks,
 			Metrics:   reg,
 			Labels:    []obs.Label{obs.L("app", *appName)},
-		})
-		if err != nil {
-			return err
-		}
-		if err := apps.Run(app, stack.Tracer, *iters); err != nil {
-			return err
-		}
-		if err := stack.Close(); err != nil {
-			return err
-		}
+		}, *appName, *scale, *iters, 1)
 		if dumpWriter != nil {
 			werr := dumpWriter.Close()
-			cerr := dumpFile.Close()
-			if werr != nil {
-				return werr
+			if cerr := dumpFile.Close(); werr == nil {
+				werr = cerr
 			}
-			if cerr != nil {
-				return cerr
+			if err == nil {
+				err = werr
 			}
+		}
+		if err != nil {
+			return err
 		}
 		txs = stack.Transactions()
 		hier := stack.Hierarchy

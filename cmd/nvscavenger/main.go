@@ -49,45 +49,6 @@ type instrumented struct {
 	tr  *memtrace.Tracer
 }
 
-// runSharded executes the instrumented run across shards deterministic
-// shards and merges them; the merged tracer is byte-identical to a -shards 1
-// run.  Sharded stacks cannot drive the raw-access stats tap live, so the
-// "accesses" stage counters the tap's Counted boundary would have recorded
-// are published from the merged totals instead.
-func runSharded(ctx context.Context, appName string, scale float64, iters, shards int, stackMode memtrace.StackMode, sample memtrace.SampleSpec, reg *obs.Registry, mode string) (any, uint64, error) {
-	ss, err := pipeline.BuildSharded(pipeline.Config{
-		StackMode: stackMode,
-		Sample:    sample,
-	}, iters, shards)
-	if err != nil {
-		return nil, 0, err
-	}
-	var app apps.App
-	for k := 0; k < ss.Shards(); k++ {
-		a, err := apps.New(appName, scale)
-		if err != nil {
-			//nvlint:ignore errcontract best-effort cleanup; the build error is reported
-			_ = ss.Close()
-			return nil, 0, err
-		}
-		if err := apps.RunContext(ctx, a, ss.Stack(k).Tracer, ss.RunIterations(k)); err != nil {
-			//nvlint:ignore errcontract best-effort cleanup; the run error is reported
-			_ = ss.Close()
-			return nil, 0, err
-		}
-		// The last shard replays the whole run, so its app carries the full
-		// post-processing state the report prints.
-		app = a
-	}
-	stack, err := ss.Merge()
-	if err != nil {
-		return nil, 0, err
-	}
-	pipeline.PublishStageMetrics(reg, "accesses", stack.Tracer.Sampled, 0,
-		obs.L("app", appName), obs.L("mode", mode))
-	return instrumented{app: app, tr: stack.Tracer}, stack.Tracer.Sampled, nil
-}
-
 func run(args []string, out io.Writer) error {
 	fs := cli.NewFlagSet("nvscavenger")
 	appName := fs.String("app", "", "application to instrument: "+cli.AppList())
@@ -152,35 +113,26 @@ func run(args []string, out io.Writer) error {
 		// the session-level WithSample option).
 		key.Profile = "sample=" + sample.String()
 	}
-	fn := func(ctx context.Context) (any, uint64, error) {
-		if *shards > 1 {
-			return runSharded(ctx, *appName, *scale, *iters, *shards, stackMode, sample, reg, *mode)
-		}
-		app, err := apps.New(*appName, *scale)
-		if err != nil {
-			return nil, 0, err
-		}
+	labels := []obs.Label{obs.L("app", *appName), obs.L("mode", *mode)}
+	pcfg := pipeline.Config{StackMode: stackMode, Sample: sample, Metrics: reg, Labels: labels}
+	if *shards <= 1 {
 		// A stats tap terminates the access stream so the batch flow is
 		// visible in the pipeline stage counters of -metrics.
 		var tap trace.Sink = &trace.Stats{}
 		if fault.Is(faults.TargetAccess) || fault.Is(faults.TargetSink) {
 			tap = faults.Sink(fault, tap)
 		}
-		stack, err := pipeline.Build(pipeline.Config{
-			StackMode:  stackMode,
-			Sample:     sample,
-			AccessTaps: []trace.Sink{tap},
-			Metrics:    reg,
-			Labels:     []obs.Label{obs.L("app", *appName), obs.L("mode", *mode)},
-		})
+		pcfg.AccessTaps = []trace.Sink{tap}
+	}
+	fn := func(ctx context.Context) (any, uint64, error) {
+		stack, app, err := pipeline.Run(ctx, pcfg, *appName, *scale, *iters, *shards)
 		if err != nil {
 			return nil, 0, err
 		}
-		if err := apps.RunContext(ctx, app, stack.Tracer, *iters); err != nil {
-			return nil, 0, err
-		}
-		if err := stack.Close(); err != nil {
-			return nil, 0, err
+		if *shards > 1 {
+			// Sharded runs cannot drive the tap; publish the accesses stage
+			// counters it would have recorded from the merged totals.
+			pipeline.PublishStageMetrics(reg, "accesses", stack.Tracer.Sampled, 0, labels...)
 		}
 		return instrumented{app: app, tr: stack.Tracer}, stack.Tracer.Sampled, nil
 	}
@@ -193,7 +145,7 @@ func run(args []string, out io.Writer) error {
 	}
 	ins := v.(instrumented)
 	app, tr := ins.app, ins.tr
-	tr.ExportMetrics(reg, obs.L("app", *appName), obs.L("mode", *mode))
+	tr.ExportMetrics(reg, labels...)
 
 	fmt.Fprintf(out, "== %s: %s ==\n", app.Name(), app.Description())
 	fmt.Fprintf(out, "scale %.2f, %d iterations, %s stack mode\n", *scale, *iters, stackMode)

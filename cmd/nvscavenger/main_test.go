@@ -99,6 +99,39 @@ func TestRunJSONSnapshot(t *testing.T) {
 	}
 }
 
+// TestShardedMetricsMatchPipelineSeries: the pipeline_* stage series of
+// -metrics are identical whether the run is sharded or not — the unsharded
+// run folds them from its stats tap at Close, the sharded one publishes the
+// same fold from the merged totals.
+func TestShardedMetricsMatchPipelineSeries(t *testing.T) {
+	pipelineLines := func(shards string) string {
+		path := filepath.Join(t.TempDir(), "metrics.txt")
+		var out bytes.Buffer
+		if err := run([]string{"-app", "gtc", "-scale", "0.05", "-iterations", "4",
+			"-shards", shards, "-metrics", path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, l := range strings.Split(string(data), "\n") {
+			if strings.Contains(l, "pipeline_") {
+				lines = append(lines, l)
+			}
+		}
+		return strings.Join(lines, "\n")
+	}
+	want, got := pipelineLines("0"), pipelineLines("3")
+	if !strings.Contains(want, "pipeline_events_total{app=gtc,mode=fast,stage=accesses}") {
+		t.Fatalf("unsharded run published no accesses stage series:\n%s", want)
+	}
+	if got != want {
+		t.Errorf("-shards 3 pipeline series differ from -shards 0:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
 func TestRunMetricsFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "metrics.txt")

@@ -259,33 +259,6 @@ func (l *level) invalidate(lineAddr uint64) (present, dirty bool) {
 	return false, false
 }
 
-// TxSink receives filtered main-memory transactions one at a time — the
-// legacy per-transaction consumer contract.  The hierarchy itself delivers
-// transactions in batches (trace.TxSink); wrap a legacy consumer with PerTx
-// to attach it.
-type TxSink interface {
-	Transaction(trace.Transaction) error
-}
-
-// TxSinkFunc adapts a function to TxSink.
-type TxSinkFunc func(trace.Transaction) error
-
-// Transaction calls f(t).
-func (f TxSinkFunc) Transaction(t trace.Transaction) error { return f(t) }
-
-// PerTx adapts a legacy per-transaction consumer to the batched
-// trace.TxSink contract the hierarchy emits on.
-func PerTx(s TxSink) trace.TxSink {
-	return trace.TxSinkFunc(func(batch []trace.Transaction) error {
-		for _, t := range batch {
-			if err := s.Transaction(t); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // Hierarchy is the two-level data-cache simulator.  It implements trace.Sink
 // so the instrumentation tracer can flush access batches straight into it,
 // and it emits the filtered main-memory trace the same way it receives

@@ -22,8 +22,8 @@ type captureSink struct {
 	txs []trace.Transaction
 }
 
-func (c *captureSink) Transaction(t trace.Transaction) error {
-	c.txs = append(c.txs, t)
+func (c *captureSink) FlushTx(batch []trace.Transaction) error {
+	c.txs = append(c.txs, batch...)
 	return nil
 }
 
@@ -160,7 +160,7 @@ func TestWriteHitDirtiesL1(t *testing.T) {
 
 func TestL2DirtyEvictionReachesMemory(t *testing.T) {
 	sink := &captureSink{}
-	h := MustNew(tinyConfig(), PerTx(sink))
+	h := MustNew(tinyConfig(), sink)
 	// Dirty one L2 line via a write (no-write-allocate L1 -> L2 write).
 	h.Access(trace.Access{Addr: 0, Size: 8, Op: trace.Write})
 	// Evict it from L2: set count 4, ways 2 -> lines 0, 1024, 2048 share set 0.
@@ -239,7 +239,7 @@ func TestFlushIsTraceSink(t *testing.T) {
 
 func TestTransactionCycleMonotonic(t *testing.T) {
 	sink := &captureSink{}
-	h := MustNew(tinyConfig(), PerTx(sink))
+	h := MustNew(tinyConfig(), sink)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
 		h.Access(trace.Access{Addr: uint64(rng.Intn(1 << 14)), Size: 8, Op: trace.Op(rng.Intn(2))})
@@ -338,12 +338,14 @@ func TestQuickTransactionAlignment(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		aligned := true
-		sink := PerTx(TxSinkFunc(func(tx trace.Transaction) error {
-			if tx.Addr%64 != 0 {
-				aligned = false
+		sink := trace.TxSinkFunc(func(batch []trace.Transaction) error {
+			for _, tx := range batch {
+				if tx.Addr%64 != 0 {
+					aligned = false
+				}
 			}
 			return nil
-		}))
+		})
 		h := MustNew(tinyConfig(), sink)
 		for i := 0; i < 300; i++ {
 			h.Access(trace.Access{

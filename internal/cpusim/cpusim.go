@@ -57,8 +57,7 @@ type Config struct {
 	// by the core's cache misses in batches, each stamped with the core's
 	// cycle at issue.  Feeding these to a dramsim.MemorySystem with
 	// CPUFreqGHz set couples the timing and power simulators, §IV's
-	// integrated mode.  Wrap a legacy per-transaction consumer with
-	// cachesim.PerTx.
+	// integrated mode.
 	MemSink trace.TxSink
 }
 

@@ -43,28 +43,6 @@ import (
 // AppNames is the paper's application order.
 var AppNames = []string{"nek5000", "cam", "gtc", "s3d"}
 
-// Options scales the experiment suite.  The zero value is replaced by the
-// calibrated defaults (scale 1.0, 10 iterations — the paper collects data
-// for the first 10 iterations of each main loop, §VII).
-//
-// Deprecated: Options survives as a constructor shim — it implements
-// Option, so NewSession(Options{...}) still compiles.  New code should use
-// the functional options (WithScale, WithIterations, ...).
-type Options struct {
-	Scale      float64
-	Iterations int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Scale <= 0 {
-		o.Scale = 1.0
-	}
-	if o.Iterations <= 0 {
-		o.Iterations = 10
-	}
-	return o
-}
-
 // Run is one memoized instrumented execution.
 type Run struct {
 	App       apps.App
@@ -79,9 +57,8 @@ type Run struct {
 // calls: runs are deduplicated with single-flight semantics, so concurrent
 // requests for the same run share one execution.
 type Session struct {
-	cfg  config
-	opts Options // effective scale/iterations, the legacy view
-	eng  *runner.Engine
+	cfg config
+	eng *runner.Engine
 
 	mu       sync.Mutex
 	failures map[string]string // run key -> first error, the degraded-report annotations
@@ -102,7 +79,6 @@ func NewSession(opts ...Option) *Session {
 	}
 	s := &Session{
 		cfg:      cfg,
-		opts:     Options{Scale: cfg.scale, Iterations: cfg.iterations},
 		failures: map[string]string{},
 	}
 	// Every failed engine run — whatever exhibit requested it — passes
@@ -200,9 +176,6 @@ func (s *Session) chaos(cfg *pipeline.Config) {
 	}
 }
 
-// Options returns the session's effective options.
-func (s *Session) Options() Options { return s.opts }
-
 // Metrics returns the run-level observability snapshot: cache hit/miss
 // counters and per-run wall time and reference throughput.
 func (s *Session) Metrics() runner.Metrics { return s.eng.Metrics() }
@@ -257,8 +230,8 @@ func (s *Session) key(app, mode, profile string) runner.Key {
 	return runner.Key{
 		App:        app,
 		Mode:       mode,
-		Scale:      s.opts.Scale,
-		Iterations: s.opts.Iterations,
+		Scale:      s.cfg.scale,
+		Iterations: s.cfg.iterations,
 		Profile:    profile,
 	}
 }
@@ -316,72 +289,27 @@ func (s *Session) shards() int {
 	return s.cfg.shards
 }
 
-// runSharded executes one run as a sharded replay: every shard replays the
-// app from the start (apps are deterministic in (name, scale)), records its
-// owned iteration span, and Merge folds the shards into a stack
-// byte-identical to the single-stack run.  The returned app is the last
-// shard's — the one that replayed the whole program.
-func (s *Session) runSharded(ctx context.Context, name string, pcfg pipeline.Config, shards int) (*pipeline.Stack, apps.App, error) {
-	ss, err := pipeline.BuildSharded(pcfg, s.opts.Iterations, shards)
-	if err != nil {
-		return nil, nil, err
-	}
-	var app apps.App
-	for k := 0; k < ss.Shards(); k++ {
-		a, err := apps.New(name, s.opts.Scale)
-		if err == nil {
-			err = apps.RunContext(ctx, a, ss.Stack(k).Tracer, ss.RunIterations(k))
-		}
-		if err != nil {
-			//nvlint:ignore errcontract best-effort cleanup; the run error is reported
-			_ = ss.Close()
-			return nil, nil, err
-		}
-		app = a
-	}
-	merged, err := ss.Merge()
-	if err != nil {
-		return nil, nil, err
-	}
-	return merged, app, nil
+// run executes one instrumented run of the named app through pipeline.Run
+// on the session's scale, with the session's fault spec injected into pcfg
+// and its shard count applied.
+func (s *Session) run(ctx context.Context, name string, pcfg pipeline.Config) (*pipeline.Stack, apps.App, error) {
+	s.chaos(&pcfg)
+	return pipeline.Run(ctx, pcfg, name, s.cfg.scale, s.cfg.iterations, s.shards())
 }
 
 func (s *Session) runFast(ctx context.Context, name string) (*Run, error) {
 	labels := []obs.Label{obs.L("app", name), obs.L("mode", "fast")}
 	cacheCfg := cachesim.PaperConfig()
-	pcfg := pipeline.Config{
+	stack, app, err := s.run(ctx, name, pipeline.Config{
 		StackMode: memtrace.FastStack,
 		Sample:    s.cfg.sample,
 		Cache:     &cacheCfg,
 		CaptureTx: true,
 		Metrics:   s.cfg.metrics,
 		Labels:    labels,
-	}
-	s.chaos(&pcfg)
-	var stack *pipeline.Stack
-	var app apps.App
-	if k := s.shards(); k > 1 {
-		var err error
-		stack, app, err = s.runSharded(ctx, name, pcfg, k)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		app, err = apps.New(name, s.opts.Scale)
-		if err != nil {
-			return nil, err
-		}
-		stack, err = pipeline.Build(pcfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := apps.RunContext(ctx, app, stack.Tracer, s.opts.Iterations); err != nil {
-			return nil, err
-		}
-		if err := stack.Close(); err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	stack.Hierarchy.ExportMetrics(s.cfg.metrics, labels...)
 	stack.Tracer.ExportMetrics(s.cfg.metrics, labels...)
@@ -406,32 +334,9 @@ func (s *Session) slow(ctx context.Context, name string) (*Run, error) {
 }
 
 func (s *Session) runSlow(ctx context.Context, name string) (*Run, error) {
-	pcfg := pipeline.Config{StackMode: memtrace.SlowStack, Sample: s.cfg.sample}
-	s.chaos(&pcfg)
-	var stack *pipeline.Stack
-	var app apps.App
-	if k := s.shards(); k > 1 && len(pcfg.AccessTaps) == 0 {
-		var err error
-		stack, app, err = s.runSharded(ctx, name, pcfg, k)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		app, err = apps.New(name, s.opts.Scale)
-		if err != nil {
-			return nil, err
-		}
-		stack, err = pipeline.Build(pcfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := apps.RunContext(ctx, app, stack.Tracer, s.opts.Iterations); err != nil {
-			return nil, err
-		}
-		if err := stack.Close(); err != nil {
-			return nil, err
-		}
+	stack, app, err := s.run(ctx, name, pipeline.Config{StackMode: memtrace.SlowStack, Sample: s.cfg.sample})
+	if err != nil {
+		return nil, err
 	}
 	stack.Tracer.ExportMetrics(s.cfg.metrics, obs.L("app", name), obs.L("mode", "slow"))
 	return &Run{App: app, Tracer: stack.Tracer}, nil
@@ -658,28 +563,12 @@ func (s *Session) latencySweep(ctx context.Context, name string) ([]cpusim.Sweep
 			if runErr != nil {
 				return
 			}
-			app, err := apps.New(name, s.opts.Scale)
-			if err != nil {
-				runErr = err
-				return
-			}
 			pcfg := pipeline.Config{
 				StackMode: memtrace.FastStack,
 				Perf:      countingPerf(sink, &refs),
 			}
 			s.chaos(&pcfg)
-			stack, err := pipeline.Build(pcfg)
-			if err != nil {
-				runErr = err
-				return
-			}
-			if err := apps.RunContext(ctx, app, stack.Tracer, 1); err != nil {
-				runErr = err
-				return
-			}
-			if err := stack.Close(); err != nil {
-				runErr = err
-			}
+			_, _, runErr = pipeline.Run(ctx, pcfg, name, s.cfg.scale, 1, 1)
 		}
 		res, err := cpusim.Sweep(Figure12Devices, Figure12Latencies, replay)
 		if err != nil {

@@ -15,15 +15,18 @@ var (
 
 func testSession() *Session {
 	sessOnce.Do(func() {
-		sess = NewSession(Options{Scale: 0.25, Iterations: 10})
+		sess = NewSession(WithScale(0.25), WithIterations(10))
 	})
 	return sess
 }
 
+// TestOptionsDefaults: with no options, or with non-positive scale and
+// iteration values, a session runs the calibrated defaults.
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Scale != 1.0 || o.Iterations != 10 {
-		t.Fatalf("defaults = %+v", o)
+	for _, s := range []*Session{NewSession(), NewSession(WithScale(0), WithIterations(-1))} {
+		if s.cfg.scale != 1.0 || s.cfg.iterations != 10 {
+			t.Fatalf("defaults = scale %v, %d iterations", s.cfg.scale, s.cfg.iterations)
+		}
 	}
 }
 
@@ -371,7 +374,7 @@ func TestConformanceAllPass(t *testing.T) {
 }
 
 func TestWarmParallel(t *testing.T) {
-	s := NewSession(Options{Scale: 0.05, Iterations: 2})
+	s := NewSession(WithScale(0.05), WithIterations(2))
 	if err := s.Warm(); err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,6 @@ import (
 //		experiments.WithJobs(4),
 //		experiments.WithContext(ctx),
 //	)
-//
-// The legacy Options struct also implements Option, so pre-redesign call
-// sites — NewSession(Options{Scale: 0.25, Iterations: 10}) — keep
-// compiling unchanged.
 type Option interface {
 	apply(*config)
 }
@@ -191,7 +187,7 @@ func WithSample(spec memtrace.SampleSpec) Option {
 }
 
 // WithShards splits every instrumented run's iteration space across n
-// per-shard stacks (see pipeline.BuildSharded): each shard replays the app
+// per-shard stacks (see pipeline.Run): each shard replays the app
 // deterministically and records only its owned span, and the session merges
 // the shards into one result byte-identical to the unsharded run.  Because
 // the products are identical, sharded and unsharded runs share run-cache
@@ -216,14 +212,4 @@ func WithRetry(attempts int) Option {
 			c.retry = resilience.RetryPolicy{Attempts: attempts}
 		}
 	})
-}
-
-// apply lets the legacy struct act as an Option.
-//
-// Deprecated: construct sessions with functional options instead, e.g.
-// NewSession(WithScale(0.25), WithIterations(10)).
-func (o Options) apply(c *config) {
-	o = o.withDefaults()
-	c.scale = o.Scale
-	c.iterations = o.Iterations
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"nvscavenger/internal/apps"
 	"nvscavenger/internal/core"
 	"nvscavenger/internal/memtrace"
 	"nvscavenger/internal/pipeline"
@@ -93,21 +92,12 @@ func (s *Session) profilerRun(ctx context.Context, app string, spec memtrace.Sam
 	}
 	v, err := s.do(ctx, s.key(app, "profiler", profile),
 		func(ctx context.Context) (any, uint64, error) {
-			a, err := apps.New(app, s.opts.Scale)
-			if err != nil {
-				return nil, 0, err
-			}
-			stack, err := pipeline.Build(pipeline.Config{StackMode: memtrace.FastStack, Sample: spec})
+			stack, _, err := pipeline.Run(ctx, pipeline.Config{StackMode: memtrace.FastStack, Sample: spec},
+				app, s.cfg.scale, s.cfg.iterations, 1)
 			if err != nil {
 				return nil, 0, err
 			}
 			tr := stack.Tracer
-			if err := apps.RunContext(ctx, a, tr, s.opts.Iterations); err != nil {
-				return nil, 0, err
-			}
-			if err := stack.Close(); err != nil {
-				return nil, 0, err
-			}
 			est := tr.Estimator()
 			res := profRun{
 				observed: tr.Sampled,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"nvscavenger/internal/apps"
 	"nvscavenger/internal/core"
 	"nvscavenger/internal/memtrace"
 	"nvscavenger/internal/pipeline"
@@ -47,24 +46,14 @@ func (s *Session) SamplingStudy(app string, periods []int) ([]SamplingRow, error
 	runAt := func(ctx context.Context, period int) (runResult, error) {
 		v, err := s.do(ctx, s.key(app, "sampling", fmt.Sprintf("period-%d", period)),
 			func(ctx context.Context) (any, uint64, error) {
-				a, err := apps.New(app, s.opts.Scale)
-				if err != nil {
-					return nil, 0, err
-				}
-				stack, err := pipeline.Build(pipeline.Config{
+				stack, _, err := pipeline.Run(ctx, pipeline.Config{
 					StackMode: memtrace.FastStack,
 					Sample:    memtrace.SampleSpec{Mode: memtrace.SamplePeriodic, Rate: uint64(period)},
-				})
+				}, app, s.cfg.scale, s.cfg.iterations, 1)
 				if err != nil {
 					return nil, 0, err
 				}
 				tr := stack.Tracer
-				if err := apps.RunContext(ctx, a, tr, s.opts.Iterations); err != nil {
-					return nil, 0, err
-				}
-				if err := stack.Close(); err != nil {
-					return nil, 0, err
-				}
 				res := runResult{
 					refs:    tr.Sampled,
 					active:  map[string]bool{},

@@ -1,7 +1,7 @@
 // Package faults is the deterministic fault injector for chaos runs: it
-// wraps the simulator's existing contracts — trace sinks, pipeline stages,
-// writers and run functions — with decorators that fail every Nth call or
-// with a seeded probability.
+// wraps the simulator's existing contracts — trace sinks, writers and run
+// functions — with decorators that fail every Nth call or with a seeded
+// probability.
 //
 // Determinism is the design constraint.  The paper's experiments are pinned
 // byte-for-byte by golden reports, and the whole point of injecting faults
@@ -25,7 +25,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"nvscavenger/internal/pipeline"
 	"nvscavenger/internal/runner"
 	"nvscavenger/internal/trace"
 )
@@ -265,18 +264,6 @@ func PerfSink(spec Spec, next trace.PerfSink) trace.PerfSink {
 			return err
 		}
 		return next.FlushEvents(batch)
-	})
-}
-
-// Stage wraps a generic pipeline stage with an injector failing flushes;
-// the batch-typed analogue of the sink decorators.
-func Stage[T any](spec Spec, next pipeline.Stage[T]) pipeline.Stage[T] {
-	in := spec.NewInjector()
-	return pipeline.StageFunc[T](func(batch []T) error {
-		if err := in.errf("flush"); err != nil {
-			return err
-		}
-		return next.Flush(batch)
 	})
 }
 

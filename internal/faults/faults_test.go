@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"nvscavenger/internal/pipeline"
 	"nvscavenger/internal/runner"
 	"nvscavenger/internal/trace"
 )
@@ -174,21 +173,6 @@ func TestSinkAndPerfSinkDecorators(t *testing.T) {
 	}))
 	if err := p.FlushEvents([]trace.PerfEvent{{Gap: 3}}); !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
-	}
-}
-
-func TestStageDecorator(t *testing.T) {
-	var got int
-	next := pipeline.StageFunc[int](func(batch []int) error { got += len(batch); return nil })
-	st := Stage[int](Spec{Target: TargetSink, Every: 2}, next)
-	if err := st.Flush([]int{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Flush([]int{3}); !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
-	}
-	if got != 2 {
-		t.Fatalf("forwarded = %d, want 2", got)
 	}
 }
 

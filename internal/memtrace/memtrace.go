@@ -557,6 +557,14 @@ func (t *Tracer) SinkTrips() uint64 {
 	return t.buf.Trips()
 }
 
+// PerfTrips returns 1 once the perf sink's error has tripped sticky, else 0.
+func (t *Tracer) PerfTrips() uint64 {
+	if t.perfErr == nil {
+		return 0
+	}
+	return 1
+}
+
 // Close finalizes iteration accounting and flushes the trace and
 // performance-event buffers, returning the first sink error.
 func (t *Tracer) Close() error {

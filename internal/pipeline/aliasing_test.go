@@ -18,13 +18,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"nvscavenger/internal/cachesim"
 	"nvscavenger/internal/cpusim"
 	"nvscavenger/internal/dramsim"
 	"nvscavenger/internal/obs"
-	"nvscavenger/internal/resilience"
 	"nvscavenger/internal/trace"
 )
 
@@ -163,38 +161,11 @@ func TestNoBatchAliasingCombinators(t *testing.T) {
 			f := Filter(func(a trace.Access) bool { return a.Op == trace.Write }, c)
 			return f.Flush, func() string { return fmt.Sprint(c.Items) }
 		})
-	poisonRun(t, "FilterWithArena", accessBatches, poisonAccess,
-		func(t *testing.T) (func([]trace.Access) error, func() string) {
-			c := &Capture[trace.Access]{}
-			f := FilterWithArena(func(a trace.Access) bool { return a.Op == trace.Read }, c,
-				trace.NewArena[trace.Access](trace.DefaultBufferSize))
-			return f.Flush, func() string { return fmt.Sprint(c.Items) }
-		})
 	poisonRun(t, "Counted", accessBatches, poisonAccess,
 		func(t *testing.T) (func([]trace.Access) error, func() string) {
 			reg := obs.NewRegistry()
 			c := &Capture[trace.Access]{}
 			s := Counted[trace.Access](reg, "aliasing", c)
-			return s.Flush, func() string { return fmt.Sprint(c.Items) + metricsState(reg) }
-		})
-	poisonRun(t, "Resilient", accessBatches, poisonAccess,
-		func(t *testing.T) (func([]trace.Access) error, func() string) {
-			reg := obs.NewRegistry()
-			c := &Capture[trace.Access]{}
-			// Fail every batch's first attempt: the retry path re-reads the
-			// batch within the same Flush call, which the contract allows —
-			// but nothing may survive past the return.
-			fail := true
-			flaky := StageFunc[trace.Access](func(batch []trace.Access) error {
-				if fail {
-					fail = false
-					return fmt.Errorf("transient")
-				}
-				fail = true
-				return c.Flush(batch)
-			})
-			s := Resilient[trace.Access](reg, "aliasing",
-				resilience.RetryPolicy{Attempts: 2, Sleep: func(time.Duration) {}}, nil, flaky)
 			return s.Flush, func() string { return fmt.Sprint(c.Items) + metricsState(reg) }
 		})
 	poisonRun(t, "ChunkCapture", txBatches, poisonTx,
@@ -263,8 +234,8 @@ func TestNoBatchAliasingTraceSinks(t *testing.T) {
 }
 
 // TestNoBatchAliasingSimulators covers the simulator stages: the cache
-// hierarchy (access batches in, transaction batches out), the per-tx
-// adapter, the power model and the timing model.
+// hierarchy (access batches in, transaction batches out), the power model
+// and the timing model.
 func TestNoBatchAliasingSimulators(t *testing.T) {
 	poisonRun(t, "cachesim.Hierarchy", accessBatches, poisonAccess,
 		func(t *testing.T) (func([]trace.Access) error, func() string) {
@@ -279,15 +250,6 @@ func TestNoBatchAliasingSimulators(t *testing.T) {
 				}
 				return fmt.Sprint(h.L1Stats(), h.L2Stats(), h.MemReads, h.MemWrites, c.Items)
 			}
-		})
-	poisonRun(t, "cachesim.PerTx", txBatches, poisonTx,
-		func(t *testing.T) (func([]trace.Transaction) error, func() string) {
-			var sb strings.Builder
-			sink := cachesim.PerTx(cachesim.TxSinkFunc(func(tx trace.Transaction) error {
-				fmt.Fprint(&sb, tx)
-				return nil
-			}))
-			return sink.FlushTx, func() string { return sb.String() }
 		})
 	poisonRun(t, "dramsim.MemorySystem", txBatches, poisonTx,
 		func(t *testing.T) (func([]trace.Transaction) error, func() string) {

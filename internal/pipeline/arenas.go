@@ -3,12 +3,11 @@ package pipeline
 import "nvscavenger/internal/trace"
 
 // Arenas bundles the batch arenas one pipeline domain shares: every staging
-// slab, capture chunk and filter scratch of the stacks built against it is
-// drawn from (and returned to) these three pools, so repeated and sharded
+// slab and capture chunk of the stacks built against it is drawn from (and
+// returned to) these three pools, so repeated and sharded
 // runs recycle a fixed set of slabs instead of allocating per stack.
 type Arenas struct {
-	// Access holds raw-access batches (tracer staging buffers, filter
-	// scratch on the access path).
+	// Access holds raw-access batches (tracer staging buffers).
 	Access *trace.Arena[trace.Access]
 	// Tx holds main-memory transaction batches (hierarchy staging buffers,
 	// sharded transaction captures).
@@ -50,11 +49,6 @@ type ChunkCapture[T any] struct {
 	arena  *trace.Arena[T]
 	chunks [][]T
 	n      int // fill of the last chunk
-}
-
-// NewChunkCapture returns an empty capture drawing chunks from a.
-func NewChunkCapture[T any](a *trace.Arena[T]) *ChunkCapture[T] {
-	return &ChunkCapture[T]{arena: a}
 }
 
 // Flush implements Stage.
@@ -135,12 +129,3 @@ func NewPerfChunkCapture(a *trace.Arena[trace.PerfEvent]) *PerfChunkCapture {
 
 // FlushEvents implements trace.PerfSink.
 func (c *PerfChunkCapture) FlushEvents(batch []trace.PerfEvent) error { return c.Flush(batch) }
-
-// FilterWithArena is Filter with the re-batching scratch preallocated from a
-// shared arena instead of grown lazily, so the first batches through the
-// stage allocate nothing.  The returned stage satisfies
-// interface{ Release() } for handing the scratch back when the stage is
-// retired.
-func FilterWithArena[T any](pred func(T) bool, next Stage[T], a *trace.Arena[T]) Stage[T] {
-	return &filter[T]{pred: pred, next: next, scratch: a.Get()[:0], arena: a}
-}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"nvscavenger/internal/apps"
@@ -39,10 +40,9 @@ func (c *txStatsSink) FlushTx(batch []trace.Transaction) error {
 // delivers one full arena batch (trace.DefaultTxBufferSize transactions —
 // the hierarchy's staging-buffer flush) to the concrete consumer.  That is
 // the per-batch cost the ISSUE's contract prices — one call per batch — and
-// it must run allocation-free.  "per-transaction" delivers the same batch
-// through the legacy one-interface-call-per-transaction adapter, and
-// "full-trace" replays the entire captured trace per op (the pre-arena
-// benchmark shape, kept for cross-snapshot trajectory).
+// it must run allocation-free.  "full-trace" replays the entire captured
+// trace per op (the pre-arena benchmark shape, kept for cross-snapshot
+// trajectory).
 func BenchmarkPipelineThroughput(b *testing.B) {
 	app, err := apps.New("gtc", 0.3)
 	if err != nil {
@@ -73,20 +73,6 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 			}
 		}
 	})
-	b.Run("per-transaction", func(b *testing.B) {
-		cs := &txStatsSink{}
-		sink := cachesim.PerTx(cachesim.TxSinkFunc(func(t trace.Transaction) error {
-			return cs.FlushTx([]trace.Transaction{t})
-		}))
-		b.ReportMetric(float64(len(batch)), "tx")
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sink.FlushTx(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("full-trace", func(b *testing.B) {
 		var sink trace.TxSink = &txStatsSink{}
 		b.ReportMetric(float64(len(txs)), "tx")
@@ -105,35 +91,17 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 
 // BenchmarkPipelineSharded runs the full instrumented stack end to end at
 // several shard counts.  Selective replay means shard k re-executes the
-// run's prefix to reach its span, so on a single core higher shard counts
-// cost replay overhead; the series exists to price that trade (on K cores
-// the shards run concurrently and the replay hides behind the parallelism)
-// and to keep the merge path on the benchmark snapshot.
+// run's prefix to reach its span, and Run drives the shards one after
+// another, so higher shard counts cost replay overhead; the series exists to
+// price that trade and to keep the merge path on the benchmark snapshot.
 func BenchmarkPipelineSharded(b *testing.B) {
 	arenas := NewArenas(0)
 	run := func(b *testing.B, shards int) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
 			cacheCfg := cachesim.PaperConfig()
-			ss, err := BuildSharded(Config{
-				StackMode: memtrace.FastStack,
-				Cache:     &cacheCfg,
-				CaptureTx: true,
-				Arenas:    arenas,
-			}, 4, shards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for k := 0; k < ss.Shards(); k++ {
-				app, err := apps.New("gtc", 0.1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := apps.Run(app, ss.Stack(k).Tracer, ss.RunIterations(k)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := ss.Merge(); err != nil {
+			cfg := Config{StackMode: memtrace.FastStack, Cache: &cacheCfg, CaptureTx: true, Arenas: arenas}
+			if _, _, err := Run(context.Background(), cfg, "gtc", 0.1, 4, shards); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -145,8 +113,9 @@ func BenchmarkPipelineSharded(b *testing.B) {
 	b.Run("shards=4", func(b *testing.B) { run(b, 4) })
 }
 
-// BenchmarkPipelineInstrumentationOverhead measures what the Counted stage
-// wrappers cost on the same workload: metrics off versus metrics on.
+// BenchmarkPipelineInstrumentationOverhead measures what stage metrics cost
+// on the same workload: metrics off versus metrics on.  Both arms run the
+// same fused stack; "on" only adds the fold at Close.
 func BenchmarkPipelineInstrumentationOverhead(b *testing.B) {
 	run := func(b *testing.B, cfg Config) {
 		b.Helper()
@@ -196,13 +165,13 @@ func BenchmarkPipelineSampledTracing(b *testing.B) {
 		}
 	}
 	b.Run("full", func(b *testing.B) { run(b, memtrace.SampleSpec{}) })
-	b.Run("period-64", func(b *testing.B) {
+	b.Run("period=64", func(b *testing.B) {
 		run(b, memtrace.SampleSpec{Mode: memtrace.SamplePeriodic, Rate: 64})
 	})
-	b.Run("bernoulli-64", func(b *testing.B) {
+	b.Run("bernoulli=64", func(b *testing.B) {
 		run(b, memtrace.SampleSpec{Mode: memtrace.SampleBernoulli, Rate: 64, Seed: 7})
 	})
-	b.Run("bytes-4096", func(b *testing.B) {
+	b.Run("bytes=4096", func(b *testing.B) {
 		run(b, memtrace.SampleSpec{Mode: memtrace.SampleBytes, Rate: 4096, Seed: 7})
 	})
 }

@@ -13,18 +13,18 @@
 //
 // The stage contract is generic: a Stage[T] consumes batches of T.  The
 // combinators (Tee, Filter, Counted) compose stages; Build wires a full
-// tracer → hierarchy → consumers stack from one declarative Config.  Legacy
-// per-event consumers attach through adapters (cachesim.PerTx for
-// per-transaction sinks).
+// tracer → hierarchy → consumers stack from one declarative Config, always
+// fused, and Run drives one instrumented application run through it.
 package pipeline
 
 import (
+	"context"
 	"fmt"
 
+	"nvscavenger/internal/apps"
 	"nvscavenger/internal/cachesim"
 	"nvscavenger/internal/memtrace"
 	"nvscavenger/internal/obs"
-	"nvscavenger/internal/resilience"
 	"nvscavenger/internal/trace"
 )
 
@@ -62,7 +62,6 @@ type filter[T any] struct {
 	pred    func(T) bool
 	next    Stage[T]
 	scratch []T
-	arena   *trace.Arena[T]
 }
 
 // Filter returns a stage forwarding only events for which pred is true.
@@ -85,15 +84,6 @@ func (f *filter[T]) Flush(batch []T) error {
 	return f.next.Flush(f.scratch)
 }
 
-// Release hands an arena-drawn scratch slab back; the filter must not be
-// flushed afterwards.  No-op for lazily-grown scratch.
-func (f *filter[T]) Release() {
-	if f.arena != nil && f.scratch != nil {
-		f.arena.Put(f.scratch)
-		f.scratch = nil
-	}
-}
-
 // counted instruments a stage boundary with obs counters.
 type counted[T any] struct {
 	next    Stage[T]
@@ -102,11 +92,13 @@ type counted[T any] struct {
 	errors  *obs.Counter
 }
 
-// Counted wraps next with per-stage observability: batches, events and
+// Counted wraps next with live per-stage observability: batches, events and
 // errors crossing this stage boundary land in the registry as the
 // pipeline_batches_total / pipeline_events_total / pipeline_errors_total
-// series labelled with the stage name.  A nil registry returns next
-// unchanged, so uninstrumented builds pay nothing.
+// series labelled with the stage name.  Built stacks never need it (Close
+// folds the same series from end-of-run totals); it serves streams whose
+// batch shape comes from elsewhere, such as a trace-file reader.  A nil
+// registry returns next unchanged.
 func Counted[T any](reg *obs.Registry, stage string, next Stage[T], labels ...obs.Label) Stage[T] {
 	if reg == nil {
 		return next
@@ -128,70 +120,6 @@ func (c *counted[T]) Flush(batch []T) error {
 		c.errors.Inc()
 		return err
 	}
-	return nil
-}
-
-// resilient wraps a stage boundary with retry and an optional breaker.
-type resilient[T any] struct {
-	next      Stage[T]
-	retry     resilience.RetryPolicy
-	breaker   *resilience.Breaker
-	retries   *obs.Counter
-	dropped   *obs.Counter
-	trips     *obs.Counter
-	lastTrips uint64
-}
-
-// Resilient wraps next with failure handling, the robustness sibling of
-// Counted: flush errors are retried per the policy, and — when a breaker
-// is supplied — an exhausted flush trips the breaker and the batch is
-// *dropped* instead of propagating the error upstream (graceful
-// degradation: the run completes on the surviving stages).  While the
-// breaker is open, batches are dropped without touching the stage; after
-// its cooldown one batch probes the stage and success resumes normal
-// flow.  With a nil breaker, exhausted errors propagate, so Resilient is
-// then pure retry.  Retries, dropped events and breaker trips land in the
-// registry as pipeline_retries_total / pipeline_dropped_events_total /
-// pipeline_trips_total, stage-labelled like the Counted series.  A nil
-// registry keeps the behaviour but skips the accounting.
-func Resilient[T any](reg *obs.Registry, stage string, retry resilience.RetryPolicy, br *resilience.Breaker, next Stage[T], labels ...obs.Label) Stage[T] {
-	if reg == nil {
-		reg = obs.NewRegistry() // private: resilience without accounting
-	}
-	ls := append(append([]obs.Label{}, labels...), obs.L("stage", stage))
-	return &resilient[T]{
-		next:    next,
-		retry:   retry,
-		breaker: br,
-		retries: reg.Counter("pipeline_retries_total", ls...),
-		dropped: reg.Counter("pipeline_dropped_events_total", ls...),
-		trips:   reg.Counter("pipeline_trips_total", ls...),
-	}
-}
-
-// Flush implements Stage.
-func (r *resilient[T]) Flush(batch []T) error {
-	if r.breaker != nil && !r.breaker.Allow() {
-		r.dropped.Add(uint64(len(batch)))
-		return nil
-	}
-	n, err := r.retry.Do(func() error { return r.next.Flush(batch) })
-	r.retries.Add(uint64(n))
-	if err == nil {
-		if r.breaker != nil {
-			r.breaker.Success()
-		}
-		return nil
-	}
-	if r.breaker == nil {
-		return err
-	}
-	r.breaker.Failure()
-	if t := r.breaker.Trips(); t > r.lastTrips {
-		r.trips.Add(t - r.lastTrips)
-		r.lastTrips = t
-	}
-	r.dropped.Add(uint64(len(batch)))
 	return nil
 }
 
@@ -219,18 +147,6 @@ func ToTxSink(s Stage[trace.Transaction]) trace.TxSink {
 	return trace.TxSinkFunc(s.Flush)
 }
 
-// PerfStage adapts a trace.PerfSink (method FlushEvents) to the generic
-// Stage contract.
-func PerfStage(s trace.PerfSink) Stage[trace.PerfEvent] {
-	return StageFunc[trace.PerfEvent](s.FlushEvents)
-}
-
-// ToPerfSink adapts a performance-event Stage back to the trace.PerfSink
-// contract the tracer flushes into.
-func ToPerfSink(s Stage[trace.PerfEvent]) trace.PerfSink {
-	return trace.PerfSinkFunc(s.Flush)
-}
-
 // Config declares a full instrumentation stack.  Build assembles it; every
 // tracer+hierarchy stack in the tree goes through here, so the event flow is
 // batched and (when Metrics is set) observable at each stage boundary.
@@ -253,8 +169,7 @@ type Config struct {
 	// memory; Stack.Transactions returns them after Close.
 	CaptureTx bool
 	// TxSinks receive the filtered main-memory transaction batches (power
-	// simulator, trace writers...).  Wrap legacy per-transaction consumers
-	// with cachesim.PerTx.  Requires Cache.
+	// simulator, trace writers...).  Requires Cache.
 	TxSinks []trace.TxSink
 	// AccessTaps receive the raw access batches alongside (before) the
 	// cache stage — e.g. a trace.Writer dumping the unfiltered stream.
@@ -262,21 +177,21 @@ type Config struct {
 	// Perf receives the batched performance-event stream (the CPU timing
 	// model).
 	Perf trace.PerfSink
-	// Metrics, when set, wraps each stage boundary in Counted
-	// instrumentation (stages: accesses, transactions, perf).  Metrics also
-	// selects the wiring: a nil registry lets Build fuse linear
-	// single-consumer topologies into direct concrete calls (see Build).
+	// Metrics, when set, receives the pipeline_batches_total /
+	// pipeline_events_total / pipeline_errors_total series of every stage
+	// boundary the stack wires (transactions, accesses, perf), folded from
+	// end-of-run totals when the stack closes.  It never changes the wiring.
 	Metrics *obs.Registry
 	// Labels are attached to every pipeline metric series.
 	Labels []obs.Label
 	// Arenas, when set, supplies every staging slab in the stack (tracer
 	// access buffer, hierarchy transaction buffer) from shared batch arenas
 	// instead of private allocations; Close hands the slabs back.  Sharded
-	// stacks share one Arenas across their shards.
+	// runs share one Arenas across their shards.
 	Arenas *Arenas
 
 	// window restricts recording to an owned slice of the iteration space;
-	// only BuildSharded sets it (Config is copied by value, so callers
+	// only buildSharded sets it (Config is copied by value, so callers
 	// outside the package cannot).
 	window *memtrace.Window
 }
@@ -284,61 +199,50 @@ type Config struct {
 // Stack is an assembled dataflow: the tracer the instrumented application
 // drives, plus the cache hierarchy behind it (when configured).
 type Stack struct {
-	// Tracer is the instrumentation entry point; pass it to apps.Run.
+	// Tracer is the instrumentation entry point the application drives.
 	Tracer *memtrace.Tracer
 	// Hierarchy is the cache stage, or nil for tracer-only stacks.
 	Hierarchy *cachesim.Hierarchy
 
+	cfg      Config
 	capture  *Capture[trace.Transaction]
-	arenas   *Arenas
 	closed   bool
 	closeErr error
 }
 
-// Build assembles the stack declared by cfg.
-//
-// With Metrics unset, Build detects linear single-consumer topologies and
-// fuses them: the tracer's staging buffer flushes straight into the concrete
-// *cachesim.Hierarchy, the hierarchy's transaction buffer flushes straight
-// into the one configured consumer (or the concrete capture), and the perf
-// buffer flushes straight into the configured PerfSink — one devirtualized
-// call per batch at every hop instead of a chain of StageFunc closures.
-// Metrics-instrumented builds and fan-out topologies (several TxSinks,
-// capture plus sinks, access taps next to the cache) keep the generic
-// combinator wiring.
+// Build assembles the stack declared by cfg.  Every hop is fused: the
+// tracer's staging buffer flushes straight into the concrete
+// *cachesim.Hierarchy (or the one access tap), the hierarchy's transaction
+// buffer straight into the one transaction consumer (a TxSink or the
+// capture), and the perf buffer straight into the PerfSink — one direct call
+// per batch.  Tee joins a hop only for genuine fan-out: several transaction
+// consumers, or access taps next to the cache.  Stage metrics add nothing to
+// the hot path; Close folds them from end-of-run totals.
 func Build(cfg Config) (*Stack, error) {
 	if cfg.Cache == nil && (len(cfg.TxSinks) > 0 || cfg.CaptureTx) {
 		return nil, fmt.Errorf("pipeline: transaction consumers configured without a Cache stage")
 	}
-	st := &Stack{arenas: cfg.Arenas}
-	fused := cfg.Metrics == nil
+	st := &Stack{cfg: cfg}
 
 	if cfg.Cache != nil {
-		var txSink trace.TxSink
-		switch {
-		case len(cfg.TxSinks) == 0 && !cfg.CaptureTx:
-			// Statistics-only hierarchy: no transaction stage.
-		case fused && len(cfg.TxSinks) == 0:
+		txSinks := append([]trace.TxSink{}, cfg.TxSinks...)
+		if cfg.CaptureTx {
 			tc := &TxCapture{}
 			st.capture = &tc.Capture
-			txSink = tc
-		case fused && len(cfg.TxSinks) == 1 && !cfg.CaptureTx:
-			txSink = cfg.TxSinks[0]
+			txSinks = append(txSinks, tc)
+		}
+		var txSink trace.TxSink
+		switch len(txSinks) {
+		case 0:
+			// Statistics-only hierarchy: no transaction stage.
+		case 1:
+			txSink = txSinks[0]
 		default:
-			txStages := make([]Stage[trace.Transaction], 0, len(cfg.TxSinks)+1)
-			for _, s := range cfg.TxSinks {
-				txStages = append(txStages, TxStage(s))
+			stages := make([]Stage[trace.Transaction], len(txSinks))
+			for i, s := range txSinks {
+				stages[i] = TxStage(s)
 			}
-			if cfg.CaptureTx {
-				tc := &TxCapture{}
-				st.capture = &tc.Capture
-				txStages = append(txStages, tc)
-			}
-			if len(txStages) == 1 {
-				txSink = ToTxSink(Counted(cfg.Metrics, "transactions", txStages[0], cfg.Labels...))
-			} else {
-				txSink = ToTxSink(Counted(cfg.Metrics, "transactions", Tee(txStages...), cfg.Labels...))
-			}
+			txSink = ToTxSink(Tee(stages...))
 		}
 		var hier *cachesim.Hierarchy
 		var err error
@@ -353,35 +257,20 @@ func Build(cfg Config) (*Stack, error) {
 		st.Hierarchy = hier
 	}
 
-	var sink trace.Sink
-	switch {
-	case st.Hierarchy == nil && len(cfg.AccessTaps) == 0:
-	case fused && st.Hierarchy != nil && len(cfg.AccessTaps) == 0:
-		sink = st.Hierarchy
-	case fused && st.Hierarchy == nil && len(cfg.AccessTaps) == 1:
-		sink = cfg.AccessTaps[0]
-	default:
-		accessStages := make([]Stage[trace.Access], 0, len(cfg.AccessTaps)+1)
-		if st.Hierarchy != nil {
-			accessStages = append(accessStages, Stage[trace.Access](st.Hierarchy))
-		}
-		for _, tap := range cfg.AccessTaps {
-			accessStages = append(accessStages, Stage[trace.Access](tap))
-		}
-		if len(accessStages) == 1 {
-			sink = trace.SinkFunc(Counted(cfg.Metrics, "accesses", accessStages[0], cfg.Labels...).Flush)
-		} else {
-			sink = trace.SinkFunc(Counted(cfg.Metrics, "accesses", Tee(accessStages...), cfg.Labels...).Flush)
-		}
+	var accessStages []Stage[trace.Access]
+	if st.Hierarchy != nil {
+		accessStages = append(accessStages, st.Hierarchy)
 	}
-
-	var perf trace.PerfSink
-	if cfg.Perf != nil {
-		if fused {
-			perf = cfg.Perf
-		} else {
-			perf = ToPerfSink(Counted(cfg.Metrics, "perf", PerfStage(cfg.Perf), cfg.Labels...))
-		}
+	for _, tap := range cfg.AccessTaps {
+		accessStages = append(accessStages, tap)
+	}
+	var sink trace.Sink
+	switch len(accessStages) {
+	case 0:
+	case 1:
+		sink = accessStages[0]
+	default:
+		sink = Tee(accessStages...)
 	}
 
 	if cfg.window != nil && st.Hierarchy != nil {
@@ -395,7 +284,7 @@ func Build(cfg Config) (*Stack, error) {
 		Sample:     cfg.Sample,
 		BufferSize: cfg.BufferSize,
 		Sink:       sink,
-		Perf:       perf,
+		Perf:       cfg.Perf,
 		Window:     cfg.window,
 	}
 	if cfg.Arenas != nil {
@@ -414,6 +303,35 @@ func MustBuild(cfg Config) *Stack {
 	return st
 }
 
+// Run executes one instrumented run end to end: it creates the named app at
+// the given scale, builds the stack cfg declares — split across shards
+// per-shard stacks by selective replay when shards > 1 — drives the app for
+// iterations main-loop iterations, and closes (or merges) the stack on every
+// path, error paths included, so arena slabs always go back and the stage
+// metrics are always folded.  It returns the finished stack and the app that
+// executed the whole program.
+func Run(ctx context.Context, cfg Config, app string, scale float64, iterations, shards int) (*Stack, apps.App, error) {
+	if shards > 1 {
+		return runSharded(ctx, cfg, app, scale, iterations, shards)
+	}
+	a, err := apps.New(app, scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := Build(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	err = apps.RunContext(ctx, a, st.Tracer, iterations)
+	if cerr := st.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return st, a, nil
+}
+
 // Transactions returns the captured main-memory trace (CaptureTx builds
 // only); call after Close so end-of-run writebacks are included.
 func (s *Stack) Transactions() []trace.Transaction {
@@ -424,10 +342,10 @@ func (s *Stack) Transactions() []trace.Transaction {
 }
 
 // Close finishes the run: it flushes the tracer's staging buffers, drains
-// the cache hierarchy's resident dirty lines and pushes the final
-// transaction batch downstream.  Close is idempotent — the application
-// runner may already have closed the tracer — and returns the first error
-// any stage reported.
+// the cache hierarchy's resident dirty lines, pushes the final transaction
+// batch downstream and folds the stage metrics.  Close is idempotent — the
+// application runner may already have closed the tracer — and returns the
+// first error any stage reported.
 func (s *Stack) Close() error {
 	if s.closed {
 		return s.closeErr
@@ -443,7 +361,8 @@ func (s *Stack) Close() error {
 			err = s.Hierarchy.Err()
 		}
 	}
-	if s.arenas != nil {
+	s.foldMetrics()
+	if s.cfg.Arenas != nil {
 		s.Tracer.ReleaseBuffers()
 		if s.Hierarchy != nil {
 			s.Hierarchy.ReleaseBuffers()
@@ -451,4 +370,71 @@ func (s *Stack) Close() error {
 	}
 	s.closeErr = err
 	return err
+}
+
+// foldMetrics publishes the pipeline_* series of every stage boundary the
+// stack wires, from end-of-run totals, exactly as live Counted wrappers at
+// each boundary would have recorded them.  The series are pure functions of
+// those totals: a staging buffer flushes full batches plus one final partial
+// and never calls a failed consumer again, so a boundary saw every emitted
+// event its buffer did not drop, in ceil(events/batch) batches, with one
+// error once the buffer tripped.  A failing TxSink therefore also records
+// an error on the accesses boundary, whose flush returns the hierarchy's
+// sticky transaction error.
+func (s *Stack) foldMetrics() {
+	cfg := s.cfg
+	if cfg.Metrics == nil {
+		return
+	}
+	tr, h := s.Tracer, s.Hierarchy
+	if cfg.CaptureTx || len(cfg.TxSinks) > 0 {
+		txBatch := trace.DefaultTxBufferSize
+		if cfg.Arenas != nil {
+			txBatch = cfg.Arenas.Tx.BatchSize()
+		}
+		publishStage(cfg.Metrics, "transactions", h.MemReads+h.MemWrites-h.TxDropped(), h.TxTrips(), txBatch, cfg.Labels)
+	}
+	if h != nil || len(cfg.AccessTaps) > 0 {
+		// memtrace.New stages accesses in an arena slab when the sizes agree.
+		accessBatch := cfg.BufferSize
+		if a := cfg.Arenas; a != nil && (accessBatch <= 0 || accessBatch == a.Access.BatchSize()) {
+			accessBatch = a.Access.BatchSize()
+		}
+		publishStage(cfg.Metrics, "accesses", tr.Sampled-tr.SinkDropped(), tr.SinkTrips(), accessBatch, cfg.Labels)
+	}
+	if cfg.Perf != nil {
+		publishStage(cfg.Metrics, "perf", tr.Sampled-tr.PerfDropped, tr.PerfTrips(), cfg.BufferSize, cfg.Labels)
+	}
+}
+
+// PublishStageMetrics records the pipeline_* series of one healthy stage
+// boundary from its event total: the events that crossed it and the exact
+// batch count its staging buffer flushed (full batches plus one final
+// partial, so an exact ceiling).  Frontends use it to restore stage counters
+// for consumers — like a raw-access tap — that sharded runs cannot drive
+// live.  A zero or negative bufSize selects the default staging-buffer
+// capacity; a nil registry is a no-op.
+func PublishStageMetrics(reg *obs.Registry, stage string, events uint64, bufSize int, labels ...obs.Label) {
+	if reg != nil {
+		publishStage(reg, stage, events, 0, bufSize, labels)
+	}
+}
+
+// publishStage adds one stage boundary's folded totals to reg.
+func publishStage(reg *obs.Registry, stage string, events, errors uint64, bufSize int, labels []obs.Label) {
+	if bufSize <= 0 {
+		bufSize = trace.DefaultBufferSize
+	}
+	ls := append(append([]obs.Label{}, labels...), obs.L("stage", stage))
+	reg.Counter("pipeline_batches_total", ls...).Add(ceilDiv(events, uint64(bufSize)))
+	reg.Counter("pipeline_events_total", ls...).Add(events)
+	reg.Counter("pipeline_errors_total", ls...).Add(errors)
+}
+
+// ceilDiv returns ceil(n/d) with ceilDiv(0, d) == 0.
+func ceilDiv(n, d uint64) uint64 {
+	if n == 0 {
+		return 0
+	}
+	return (n + d - 1) / d
 }

@@ -95,7 +95,7 @@ func TestCaptureAccumulates(t *testing.T) {
 	}
 }
 
-func TestTxAndPerfAdaptersRoundTrip(t *testing.T) {
+func TestTxAdaptersRoundTrip(t *testing.T) {
 	var txs []trace.Transaction
 	sink := trace.TxSinkFunc(func(batch []trace.Transaction) error {
 		txs = append(txs, batch...)
@@ -108,18 +108,6 @@ func TestTxAndPerfAdaptersRoundTrip(t *testing.T) {
 	}
 	if len(txs) != 1 || txs[0].Addr != 64 {
 		t.Fatalf("txs = %v", txs)
-	}
-
-	var evs []trace.PerfEvent
-	psink := trace.PerfSinkFunc(func(batch []trace.PerfEvent) error {
-		evs = append(evs, batch...)
-		return nil
-	})
-	if err := ToPerfSink(PerfStage(psink)).FlushEvents([]trace.PerfEvent{{Gap: 7}}); err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 || evs[0].Gap != 7 {
-		t.Fatalf("evs = %v", evs)
 	}
 }
 

@@ -1,15 +1,16 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 
+	"nvscavenger/internal/apps"
 	"nvscavenger/internal/cachesim"
 	"nvscavenger/internal/memtrace"
-	"nvscavenger/internal/obs"
 	"nvscavenger/internal/trace"
 )
 
-// ShardedStack partitions one application run's iteration space across K
+// shardedStack partitions one application run's iteration space across K
 // per-shard stacks — each with its own tracer, cache hierarchy and seeded
 // sampler — and deterministically merges their per-object statistics, cache
 // counters, transaction traces and performance streams so the result is
@@ -27,25 +28,24 @@ import (
 //
 // Replay is what buys exactness: sharding trades total work (shard k replays
 // e_k iterations to record e_k - s_k + 1) for per-shard independence, so K
-// shards can run on K cores with no cross-shard synchronization at all.
-type ShardedStack struct {
-	cfg        Config
-	iterations int
-	stacks     []*Stack
-	windows    []*memtrace.Window
-	txCaps     []*TxChunkCapture
-	perfCaps   []*PerfChunkCapture
-	merged     *Stack
+// shards could run on K cores with no cross-shard synchronization at all;
+// Run drives them one after another.
+type shardedStack struct {
+	cfg      Config
+	stacks   []*Stack
+	windows  []*memtrace.Window
+	txCaps   []*TxChunkCapture
+	perfCaps []*PerfChunkCapture
+	merged   *Stack
 }
 
-// BuildSharded assembles shards per-shard stacks over cfg for a run of the
+// buildSharded assembles shards per-shard stacks over cfg for a run of the
 // given main-loop iteration count.  The shard count is clamped to
 // [1, iterations].  Access taps are not supported in sharded mode (a tap
 // would observe every shard's replayed prefix, not the run's stream once);
-// per-shard stacks are always built fused and uninstrumented — when
-// cfg.Metrics is set, Merge publishes the exact pipeline counters a K=1
-// instrumented run would have recorded.
-func BuildSharded(cfg Config, iterations, shards int) (*ShardedStack, error) {
+// per-shard stacks carry no metrics registry — Merge folds the exact
+// pipeline counters a K=1 run would have recorded.
+func buildSharded(cfg Config, iterations, shards int) (*shardedStack, error) {
 	if len(cfg.AccessTaps) > 0 {
 		return nil, fmt.Errorf("pipeline: sharded stacks do not support access taps")
 	}
@@ -61,7 +61,7 @@ func BuildSharded(cfg Config, iterations, shards int) (*ShardedStack, error) {
 	if cfg.Arenas == nil {
 		cfg.Arenas = NewArenas(cfg.BufferSize)
 	}
-	ss := &ShardedStack{cfg: cfg, iterations: iterations}
+	ss := &shardedStack{cfg: cfg}
 	for k := 0; k < shards; k++ {
 		win := &memtrace.Window{
 			Start: k*iterations/shards + 1,
@@ -96,16 +96,34 @@ func BuildSharded(cfg Config, iterations, shards int) (*ShardedStack, error) {
 	return ss, nil
 }
 
-// Shards returns the effective shard count (after clamping).
-func (s *ShardedStack) Shards() int { return len(s.stacks) }
-
-// Stack returns shard k's stack; drive its Tracer with the application.
-func (s *ShardedStack) Stack(k int) *Stack { return s.stacks[k] }
-
-// RunIterations returns how many main-loop iterations shard k must replay:
-// selective replay runs the application from the start to the end of the
-// shard's owned span.
-func (s *ShardedStack) RunIterations(k int) int { return s.windows[k].End }
+// runSharded is Run's sharded path: every shard replays the app from the
+// start (apps are deterministic in (name, scale)) up to the end of its owned
+// span, and Merge folds the shards into a stack byte-identical to the
+// single-stack run.  The returned app is the last shard's — the one that
+// replayed the whole program, post-processing included.
+func runSharded(ctx context.Context, cfg Config, app string, scale float64, iterations, shards int) (*Stack, apps.App, error) {
+	ss, err := buildSharded(cfg, iterations, shards)
+	if err != nil {
+		return nil, nil, err
+	}
+	var a apps.App
+	for k, st := range ss.stacks {
+		a, err = apps.New(app, scale)
+		if err == nil {
+			err = apps.RunContext(ctx, a, st.Tracer, ss.windows[k].End)
+		}
+		if err != nil {
+			//nvlint:ignore errcontract best-effort cleanup; the run error is reported
+			_ = ss.Close()
+			return nil, nil, err
+		}
+	}
+	merged, err := ss.Merge()
+	if err != nil {
+		return nil, nil, err
+	}
+	return merged, a, nil
+}
 
 // Merge closes every shard and folds them into one stack equivalent to a
 // K=1 run: merged per-object and per-segment statistics, merged cache
@@ -113,7 +131,7 @@ func (s *ShardedStack) RunIterations(k int) int { return s.windows[k].End }
 // order, and the configured TxSinks/Perf consumers fed the merged streams.
 // Arena chunks are handed back as they are delivered.  Merge is idempotent;
 // the shards must not be used afterwards.
-func (s *ShardedStack) Merge() (*Stack, error) {
+func (s *shardedStack) Merge() (*Stack, error) {
 	if s.merged != nil {
 		return s.merged, nil
 	}
@@ -132,7 +150,7 @@ func (s *ShardedStack) Merge() (*Stack, error) {
 	for i, st := range s.stacks {
 		tracers[i] = st.Tracer
 	}
-	merged := &Stack{Tracer: memtrace.MergeShards(tracers), closed: true}
+	merged := &Stack{Tracer: memtrace.MergeShards(tracers), cfg: s.cfg, closed: true}
 	if s.stacks[len(s.stacks)-1].Hierarchy != nil {
 		hiers := make([]*cachesim.Hierarchy, len(s.stacks))
 		for i, st := range s.stacks {
@@ -178,9 +196,7 @@ func (s *ShardedStack) Merge() (*Stack, error) {
 		}
 	}
 
-	if s.cfg.Metrics != nil {
-		s.publishPipelineMetrics(merged)
-	}
+	merged.foldMetrics()
 	s.merged = merged
 	return merged, nil
 }
@@ -188,7 +204,7 @@ func (s *ShardedStack) Merge() (*Stack, error) {
 // Close aborts a sharded run, closing every shard and handing captured
 // arena chunks back; Merge closes the shards itself, so Close is only
 // needed on error paths.
-func (s *ShardedStack) Close() error {
+func (s *shardedStack) Close() error {
 	var err error
 	for _, st := range s.stacks {
 		if cerr := st.Close(); cerr != nil && err == nil {
@@ -203,62 +219,11 @@ func (s *ShardedStack) Close() error {
 // arenas.  Release is idempotent, so this is safe after a successful
 // Merge (which releases each capture as it is delivered) and is what
 // keeps error returns from leaking chunks out of the arena accounting.
-func (s *ShardedStack) releaseCaptures() {
+func (s *shardedStack) releaseCaptures() {
 	for _, c := range s.txCaps {
 		c.Release()
 	}
 	for _, c := range s.perfCaps {
 		c.Release()
 	}
-}
-
-// publishPipelineMetrics records the pipeline_* series a K=1 Counted-
-// instrumented run would have produced.  The per-shard stacks run fused and
-// uninstrumented (per-batch counting on the hot path would cost what fusion
-// saved), but the counts are fully determined by the merged event totals:
-// the legacy buffers flush full batches plus one final partial, so batch
-// counts are exact ceilings.  Publishing after the merge keeps -metrics
-// output byte-identical to an unsharded run at any shard count.
-func (s *ShardedStack) publishPipelineMetrics(merged *Stack) {
-	// Publication order mirrors Build's Counted registration order
-	// (transactions, accesses, perf) so rendered metrics snapshots list the
-	// series exactly as an instrumented K=1 build would.
-	if merged.Hierarchy != nil {
-		if len(s.txCaps) > 0 {
-			txs := merged.Hierarchy.MemReads + merged.Hierarchy.MemWrites
-			PublishStageMetrics(s.cfg.Metrics, "transactions", txs, trace.DefaultTxBufferSize, s.cfg.Labels...)
-		}
-		PublishStageMetrics(s.cfg.Metrics, "accesses", merged.Tracer.Sampled, s.cfg.BufferSize, s.cfg.Labels...)
-	}
-	if s.cfg.Perf != nil {
-		PublishStageMetrics(s.cfg.Metrics, "perf", merged.Tracer.Sampled, s.cfg.BufferSize, s.cfg.Labels...)
-	}
-}
-
-// PublishStageMetrics records the Counted series for one stage boundary
-// retroactively: the events that crossed it and the exact batch count the
-// legacy staging buffers would have flushed (full batches plus one final
-// partial, so an exact ceiling).  Sharded frontends use it to restore stage
-// counters for consumers — like a raw-access tap — that sharded stacks
-// cannot drive live.  A zero or negative bufSize selects the default
-// staging-buffer capacity; a nil registry is a no-op.
-func PublishStageMetrics(reg *obs.Registry, stage string, events uint64, bufSize int, labels ...obs.Label) {
-	if reg == nil {
-		return
-	}
-	if bufSize <= 0 {
-		bufSize = trace.DefaultBufferSize
-	}
-	ls := append(append([]obs.Label{}, labels...), obs.L("stage", stage))
-	reg.Counter("pipeline_batches_total", ls...).Add(ceilDiv(events, uint64(bufSize)))
-	reg.Counter("pipeline_events_total", ls...).Add(events)
-	reg.Counter("pipeline_errors_total", ls...).Add(0)
-}
-
-// ceilDiv returns ceil(n/d) with ceilDiv(0, d) == 0.
-func ceilDiv(n, d uint64) uint64 {
-	if n == 0 {
-		return 0
-	}
-	return (n + d - 1) / d
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -95,13 +96,13 @@ func shardTestConfig(app string, spec memtrace.SampleSpec, pc *perfCap, reg *obs
 	}
 }
 
-// legacyRun is the pre-sharding reference: one instrumented combinator-path
-// stack over the full run.
+// legacyRun is the live-counting reference: one stack over the full run,
+// wired by hand with a Counted wrapper at every stage boundary.
 func legacyRun(t *testing.T, app string, iters int, spec memtrace.SampleSpec) (string, string) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	pc := &perfCap{}
-	st := MustBuild(shardTestConfig(app, spec, pc, reg))
+	st := countedBuild(t, shardTestConfig(app, spec, pc, reg))
 	a, err := apps.New(app, 0.05)
 	if err != nil {
 		t.Fatal(err)
@@ -119,20 +120,7 @@ func shardedRun(t *testing.T, app string, iters, shards int, spec memtrace.Sampl
 	t.Helper()
 	reg := obs.NewRegistry()
 	pc := &perfCap{}
-	ss, err := BuildSharded(shardTestConfig(app, spec, pc, reg), iters, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < ss.Shards(); k++ {
-		a, err := apps.New(app, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := apps.Run(a, ss.Stack(k).Tracer, ss.RunIterations(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged, err := ss.Merge()
+	merged, _, err := runSharded(context.Background(), shardTestConfig(app, spec, pc, reg), app, 0.05, iters, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,20 +187,7 @@ func TestShardedMergeSlowStack(t *testing.T) {
 	}
 	want := fingerprint(legacy, nil)
 	for _, k := range []int{2, 3} {
-		ss, err := BuildSharded(Config{StackMode: memtrace.SlowStack}, iters, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < ss.Shards(); i++ {
-			a, err := apps.New("gtc", 0.05)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := apps.Run(a, ss.Stack(i).Tracer, ss.RunIterations(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		merged, err := ss.Merge()
+		merged, _, err := runSharded(context.Background(), Config{StackMode: memtrace.SlowStack}, "gtc", 0.05, iters, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,15 +219,15 @@ func TestShardedPartitionSpans(t *testing.T) {
 	cache := cachesim.PaperConfig()
 	for iters := 1; iters <= 9; iters++ {
 		for shards := 1; shards <= 6; shards++ {
-			ss, err := BuildSharded(Config{StackMode: memtrace.FastStack, Cache: &cache}, iters, shards)
+			ss, err := buildSharded(Config{StackMode: memtrace.FastStack, Cache: &cache}, iters, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if shards <= iters && ss.Shards() != shards {
-				t.Fatalf("iters=%d shards=%d: got %d shards", iters, shards, ss.Shards())
+			if shards <= iters && len(ss.stacks) != shards {
+				t.Fatalf("iters=%d shards=%d: got %d shards", iters, shards, len(ss.stacks))
 			}
-			if shards > iters && ss.Shards() != iters {
-				t.Fatalf("iters=%d shards=%d: want clamp to %d, got %d", iters, shards, iters, ss.Shards())
+			if shards > iters && len(ss.stacks) != iters {
+				t.Fatalf("iters=%d shards=%d: want clamp to %d, got %d", iters, shards, iters, len(ss.stacks))
 			}
 			next := 1
 			for k, w := range ss.windows {
@@ -260,10 +235,10 @@ func TestShardedPartitionSpans(t *testing.T) {
 					t.Fatalf("iters=%d shards=%d: shard %d starts at %d, want %d", iters, shards, k, w.Start, next)
 				}
 				span := w.End - w.Start + 1
-				if span < iters/ss.Shards() || span > iters/ss.Shards()+1 {
+				if span < iters/len(ss.stacks) || span > iters/len(ss.stacks)+1 {
 					t.Fatalf("iters=%d shards=%d: shard %d span %d is uneven", iters, shards, k, span)
 				}
-				if (k == 0) != w.First || (k == ss.Shards()-1) != w.Last {
+				if (k == 0) != w.First || (k == len(ss.stacks)-1) != w.Last {
 					t.Fatalf("iters=%d shards=%d: shard %d First/Last flags wrong", iters, shards, k)
 				}
 				next = w.End + 1
@@ -279,12 +254,12 @@ func TestShardedPartitionSpans(t *testing.T) {
 }
 
 // TestShardedRejectsAccessTaps: a tap would observe every shard's replayed
-// prefix rather than the run's stream once, so BuildSharded refuses.
+// prefix rather than the run's stream once, so buildSharded refuses.
 func TestShardedRejectsAccessTaps(t *testing.T) {
 	cache := cachesim.PaperConfig()
-	_, err := BuildSharded(Config{Cache: &cache, AccessTaps: []trace.Sink{&trace.Stats{}}}, 4, 2)
+	_, err := buildSharded(Config{Cache: &cache, AccessTaps: []trace.Sink{&trace.Stats{}}}, 4, 2)
 	if err == nil {
-		t.Fatal("BuildSharded must reject access taps")
+		t.Fatal("buildSharded must reject access taps")
 	}
 }
 
@@ -296,20 +271,7 @@ func TestShardedArenaReuse(t *testing.T) {
 	run := func() {
 		cache := cachesim.PaperConfig()
 		cfg := Config{StackMode: memtrace.FastStack, Cache: &cache, CaptureTx: true, Arenas: arenas}
-		ss, err := BuildSharded(cfg, 4, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < ss.Shards(); k++ {
-			a, err := apps.New("gtc", 0.05)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := apps.Run(a, ss.Stack(k).Tracer, ss.RunIterations(k)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := ss.Merge(); err != nil {
+		if _, _, err := runSharded(context.Background(), cfg, "gtc", 0.05, 4, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -349,20 +311,7 @@ func TestShardedMergeErrorReleasesChunks(t *testing.T) {
 			return sinkErr
 		})},
 	}
-	ss, err := BuildSharded(cfg, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < ss.Shards(); k++ {
-		a, err := apps.New("gtc", 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := apps.Run(a, ss.Stack(k).Tracer, ss.RunIterations(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ss.Merge(); err == nil {
+	if _, _, err := runSharded(context.Background(), cfg, "gtc", 0.05, 4, 2); err == nil {
 		t.Fatal("Merge with a failing TxSink must return its error")
 	}
 	if n := outstanding(arenas.Tx); n != 0 {
@@ -376,16 +325,16 @@ func TestShardedCloseReleasesChunks(t *testing.T) {
 	arenas := NewArenas(0)
 	cache := cachesim.PaperConfig()
 	cfg := Config{StackMode: memtrace.FastStack, Cache: &cache, CaptureTx: true, Arenas: arenas}
-	ss, err := BuildSharded(cfg, 4, 2)
+	ss, err := buildSharded(cfg, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < ss.Shards(); k++ {
+	for k, st := range ss.stacks {
 		a, err := apps.New("gtc", 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := apps.Run(a, ss.Stack(k).Tracer, ss.RunIterations(k)); err != nil {
+		if err := apps.Run(a, st.Tracer, ss.windows[k].End); err != nil {
 			t.Fatal(err)
 		}
 	}
