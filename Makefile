@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: ci lint vet build test race race-obs race-pipeline race-sampling race-served race-shard race-journal bench bench-snapshot bench-compare bench-e2e-test chaos report
+.PHONY: ci lint vet build test race race-obs race-pipeline race-sampling race-served race-journal fuzz-smoke bench bench-snapshot bench-compare bench-e2e-test chaos report
 
-ci: lint vet build race-obs race-pipeline race-sampling race-served race-shard race-journal race bench bench-e2e-test chaos
+ci: lint vet build race-obs race-pipeline race-sampling race-served race-journal race fuzz-smoke bench bench-e2e-test chaos
 
 # Project-native static analysis: the syntactic passes (determinism,
 # metric naming, the error contract, the sticky-sink contract) plus the
-# flow-sensitive tier (arenaown, lockorder, ctxflow), over every package.
+# flow-sensitive tier (lockorder, ctxflow), over every package.
 # -stats prints per-pass wall time and finding counts; non-zero on any
 # finding; suppress at the site with //nvlint:ignore <pass> <reason>.
 lint:
@@ -59,11 +59,11 @@ race-journal:
 	$(GO) test -race -count=2 ./internal/journal
 	$(GO) test -race -run 'Crash|Recovery|Journal|CleanRestart|Healthz|StateDir' ./internal/served ./cmd/nvserved
 
-# Intra-run sharding promises byte-identical merged output at any shard
-# count; run the shards-1-vs-K identity tests race-enabled twice so the
-# merge and arena hand-off paths stay clean under a varying schedule.
-race-shard:
-	$(GO) test -race -count=2 -run 'TestSharded|TestShards' ./internal/pipeline ./internal/experiments ./internal/served
+# Fuzz the jobs-API spec decoder briefly: no input panics, no spec asking
+# for more than one shard per run is accepted, and every accepted spec's
+# normalized form survives an encode/decode round trip.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeJobSpec -fuzztime 5s ./internal/experiments
 
 # One pass over the pipeline-throughput and instrumentation-overhead
 # benchmarks: a smoke check that the fused dataflow, with and without its
@@ -73,11 +73,11 @@ bench:
 
 # Record the pipeline performance baseline: run the throughput,
 # instrumentation-overhead (metrics off vs on, one fused stack either way),
-# sampled-tracing and sharding benchmarks at full benchtime and write the
+# and sampled-tracing benchmarks at full benchtime and write the
 # parsed results to BENCH_PIPELINE.json (committed, so regressions show
 # up as diffs).  Not part of ci — timing runs need a quiet machine.
 bench-snapshot:
-	$(GO) test -run='^$$' -bench='BenchmarkPipeline(Throughput|InstrumentationOverhead|SampledTracing|Sharded)' -count=1 ./internal/pipeline \
+	$(GO) test -run='^$$' -bench='BenchmarkPipeline(Throughput|InstrumentationOverhead|SampledTracing)' -count=1 ./internal/pipeline \
 		| $(GO) run ./cmd/nvbench -out BENCH_PIPELINE.json
 
 # Compare a fresh timing run against the committed baseline: one row per
@@ -86,7 +86,7 @@ bench-snapshot:
 # (`go run ./cmd/nvbench -compare BENCH_PIPELINE.json -threshold 20`) to
 # gate.
 bench-compare:
-	$(GO) test -run='^$$' -bench='BenchmarkPipeline(Throughput|InstrumentationOverhead|SampledTracing|Sharded)' -count=1 ./internal/pipeline \
+	$(GO) test -run='^$$' -bench='BenchmarkPipeline(Throughput|InstrumentationOverhead|SampledTracing)' -count=1 ./internal/pipeline \
 		| $(GO) run ./cmd/nvbench -compare BENCH_PIPELINE.json
 
 # The end-to-end benchmark is its own module (benchmark/go.mod), so the

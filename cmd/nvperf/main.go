@@ -67,7 +67,7 @@ func run(args []string, out io.Writer) error {
 		// The core is a batched trace.PerfSink: the tracer stages events and
 		// flushes references plus instruction gaps in one call per batch.
 		stack, _, err := pipeline.Run(context.Background(), pipeline.Config{Perf: c, Metrics: reg, Labels: ls},
-			*appName, *scale, *iters, 1)
+			*appName, *scale, *iters)
 		if err != nil {
 			return err
 		}

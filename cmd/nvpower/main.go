@@ -93,7 +93,7 @@ func run(args []string, out io.Writer) error {
 			TxSinks:   txSinks,
 			Metrics:   reg,
 			Labels:    []obs.Label{obs.L("app", *appName)},
-		}, *appName, *scale, *iters, 1)
+		}, *appName, *scale, *iters)
 		if dumpWriter != nil {
 			werr := dumpWriter.Close()
 			if cerr := dumpFile.Close(); werr == nil {

@@ -79,12 +79,8 @@ func run(args []string, out io.Writer) error {
 	faultSpec := fs.String("fault", "", "chaos run: deterministic fault spec, e.g. sink:every=50,seed=7 or worker:prob=0.3,seed=9 (degrades gracefully)")
 	retries := fs.Int("retries", 0, "re-execute a failed instrumented run up to this many attempts")
 	sampleSpec := fs.String("sample", "", "seeded sampled tracing for every instrumented run, e.g. bernoulli:rate=64,seed=7 or bytes:rate=4096 (default: observe every reference)")
-	shards := fs.Int("shards", 0, "split every instrumented run across this many deterministic shards (merged results are byte-identical to -shards 1; incompatible with -fault)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *shards > 1 && *faultSpec != "" {
-		return fmt.Errorf("-shards and -fault are incompatible (fault injection targets the one live pipeline of a run)")
 	}
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
@@ -124,9 +120,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		sessOpts = append(sessOpts, experiments.WithSample(spec))
-	}
-	if *shards > 1 {
-		sessOpts = append(sessOpts, experiments.WithShards(*shards))
 	}
 	if *progress {
 		sessOpts = append(sessOpts, experiments.WithProgress(progressPrinter(os.Stderr)))

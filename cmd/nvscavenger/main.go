@@ -64,15 +64,11 @@ func run(args []string, out io.Writer) error {
 	timeout := fs.Duration("timeout", 0, "abort the instrumented run after this long (0 = no limit)")
 	faultSpec := fs.String("fault", "", "chaos run: deterministic fault spec, e.g. access:every=50,seed=7 or worker:every=1")
 	sampleSpec := fs.String("sample", "", "seeded sampled tracing, e.g. bernoulli:rate=64,seed=7 or bytes:rate=4096 (default: observe every reference)")
-	shards := fs.Int("shards", 0, "split the instrumented run across this many deterministic shards (analysis byte-identical to -shards 1; incompatible with -fault)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if err := cli.RequireApp(fs, *appName); err != nil {
 		return err
-	}
-	if *shards > 1 && *faultSpec != "" {
-		return fmt.Errorf("-shards and -fault are incompatible (fault injection targets the one live pipeline of a run)")
 	}
 
 	stackMode := memtrace.FastStack
@@ -114,25 +110,18 @@ func run(args []string, out io.Writer) error {
 		key.Profile = "sample=" + sample.String()
 	}
 	labels := []obs.Label{obs.L("app", *appName), obs.L("mode", *mode)}
-	pcfg := pipeline.Config{StackMode: stackMode, Sample: sample, Metrics: reg, Labels: labels}
-	if *shards <= 1 {
-		// A stats tap terminates the access stream so the batch flow is
-		// visible in the pipeline stage counters of -metrics.
-		var tap trace.Sink = &trace.Stats{}
-		if fault.Is(faults.TargetAccess) || fault.Is(faults.TargetSink) {
-			tap = faults.Sink(fault, tap)
-		}
-		pcfg.AccessTaps = []trace.Sink{tap}
+	// A stats tap terminates the access stream so the batch flow is visible
+	// in the pipeline stage counters of -metrics.
+	var tap trace.Sink = &trace.Stats{}
+	if fault.Is(faults.TargetAccess) || fault.Is(faults.TargetSink) {
+		tap = faults.Sink(fault, tap)
 	}
+	pcfg := pipeline.Config{StackMode: stackMode, Sample: sample, Metrics: reg, Labels: labels,
+		AccessTaps: []trace.Sink{tap}}
 	fn := func(ctx context.Context) (any, uint64, error) {
-		stack, app, err := pipeline.Run(ctx, pcfg, *appName, *scale, *iters, *shards)
+		stack, app, err := pipeline.Run(ctx, pcfg, *appName, *scale, *iters)
 		if err != nil {
 			return nil, 0, err
-		}
-		if *shards > 1 {
-			// Sharded runs cannot drive the tap; publish the accesses stage
-			// counters it would have recorded from the merged totals.
-			pipeline.PublishStageMetrics(reg, "accesses", stack.Tracer.Sampled, 0, labels...)
 		}
 		return instrumented{app: app, tr: stack.Tracer}, stack.Tracer.Sampled, nil
 	}
@@ -301,7 +290,6 @@ func run(args []string, out io.Writer) error {
 			Mode:       *mode,
 			Fault:      *faultSpec,
 			Sample:     *sampleSpec,
-			Shards:     *shards,
 		}, experiments.StateDone)
 		res.Analysis = &snap
 		if err := cli.WriteValueJSONFile(*jsonOut, res); err != nil {

@@ -96,11 +96,21 @@ func run(args []string, out io.Writer) error {
 	return serve(ctx, ln, m, *drainTimeout, *metricsOut, out)
 }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a connection that trickles them in cannot hold a server
+// goroutine forever.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer returns the daemon's HTTP server over m.
+func newHTTPServer(m *served.Manager) *http.Server {
+	return &http.Server{Handler: served.NewServer(m), ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // serve runs the HTTP frontend on ln until ctx is cancelled (the signal
 // handler), then drains: stop intake, finish or cancel in-flight jobs
 // within drainTimeout, shut the listener down and flush metrics.
 func serve(ctx context.Context, ln net.Listener, m *served.Manager, drainTimeout time.Duration, metricsOut string, out io.Writer) error {
-	srv := &http.Server{Handler: served.NewServer(m)}
+	srv := newHTTPServer(m)
 	fmt.Fprintf(out, "nvserved: listening on %s\n", ln.Addr())
 	if rec, ok := m.RecoveryInfo(); ok {
 		fmt.Fprintf(out, "nvserved: journal: %d records replayed, %d jobs restored, %d requeued (%d mid-run), %d torn bytes truncated",

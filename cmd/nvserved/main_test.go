@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -268,5 +269,55 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-nonsense"}, &out); err == nil {
 		t.Error("unknown flag must error")
+	}
+}
+
+// TestReadHeaderTimeout: the daemon's server bounds header reads, and a
+// client that sends a partial request and stalls is disconnected once the
+// bound passes instead of pinning a connection.  The behaviour check runs
+// the same server with the bound shortened so the test stays fast.
+func TestReadHeaderTimeout(t *testing.T) {
+	m := served.NewManager(served.Config{Workers: 1})
+	defer func() {
+		if err := m.Drain(context.Background()); err != nil {
+			t.Error(err)
+		}
+	}()
+	srv := newHTTPServer(m)
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	defer func() {
+		if err := srv.Close(); err != nil {
+			t.Error(err)
+		}
+		if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("Serve returned %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /jobs HTTP/1.1\r\nHost: nvserved\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("server kept a stalled header read open past its ReadHeaderTimeout")
 	}
 }

@@ -155,10 +155,6 @@ type level struct {
 	clock    uint64
 	rng      uint64 // xorshift state for random replacement
 	stats    LevelStats
-	// muted suspends statistics (not state): lines still fill, age and
-	// evict so the simulation stays exact, but the counters only see the
-	// iteration span this hierarchy's shard owns.
-	muted bool
 }
 
 func newLevel(cfg LevelConfig) (*level, error) {
@@ -198,15 +194,11 @@ func (l *level) access(lineAddr uint64, markDirty, allocate bool) (hit bool, ev 
 			if markDirty {
 				set[i].dirty = true
 			}
-			if !l.muted {
-				l.stats.Hits++
-			}
+			l.stats.Hits++
 			return true, evicted{}, false
 		}
 	}
-	if !l.muted {
-		l.stats.Misses++
-	}
+	l.stats.Misses++
 	if !allocate {
 		return false, evicted{}, false
 	}
@@ -232,11 +224,9 @@ func (l *level) access(lineAddr uint64, markDirty, allocate bool) (hit bool, ev 
 	if set[victim].valid {
 		ev = evicted{lineAddr: set[victim].tag << l.lineBits, dirty: set[victim].dirty}
 		hasEv = true
-		if !l.muted {
-			l.stats.Evictions++
-			if ev.dirty {
-				l.stats.Writebacks++
-			}
+		l.stats.Evictions++
+		if ev.dirty {
+			l.stats.Writebacks++
 		}
 	}
 fill:
@@ -280,13 +270,6 @@ type Hierarchy struct {
 	// MemReads and MemWrites count emitted transactions.
 	MemReads  uint64
 	MemWrites uint64
-
-	// muted suspends transaction emission and statistics while the shard
-	// that owns this hierarchy replays iterations another shard owns: lines
-	// still move (state must match a full run exactly) and the pseudo-cycle
-	// clock still advances (emitted cycle stamps must match), but nothing is
-	// counted or emitted.
-	muted bool
 }
 
 // New builds a Hierarchy; sink may be nil to only collect statistics.
@@ -316,52 +299,6 @@ func MustNew(cfg Config, sink trace.TxSink) *Hierarchy {
 		panic(err)
 	}
 	return h
-}
-
-// NewWithArena is New with the transaction staging slab drawn from a shared
-// batch arena instead of a private allocation; call ReleaseBuffers after the
-// final Drain to hand it back.
-func NewWithArena(cfg Config, sink trace.TxSink, a *trace.Arena[trace.Transaction]) (*Hierarchy, error) {
-	h, err := New(cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	if sink != nil {
-		h.txbuf = trace.NewArenaTxBuffer(sink, a)
-	}
-	return h, nil
-}
-
-// ReleaseBuffers hands an arena-drawn staging slab back to its arena.  The
-// hierarchy must not be used afterwards.
-func (h *Hierarchy) ReleaseBuffers() {
-	if h.txbuf != nil {
-		h.txbuf.Release()
-	}
-}
-
-// MergeShards folds the per-shard hierarchies of a sharded run into the last
-// shard's hierarchy and returns it.  Every shard simulated the full access
-// stream (muting only suspends counting), so the last shard already holds
-// the exact final line state; counters were recorded under disjoint
-// iteration ownership, so summing the donors' counters into the base
-// reproduces the full run's statistics exactly.  The donors must not be
-// reused.
-func MergeShards(shards []*Hierarchy) *Hierarchy {
-	base := shards[len(shards)-1]
-	for _, s := range shards[:len(shards)-1] {
-		base.l1.stats.Hits += s.l1.stats.Hits
-		base.l1.stats.Misses += s.l1.stats.Misses
-		base.l1.stats.Evictions += s.l1.stats.Evictions
-		base.l1.stats.Writebacks += s.l1.stats.Writebacks
-		base.l2.stats.Hits += s.l2.stats.Hits
-		base.l2.stats.Misses += s.l2.stats.Misses
-		base.l2.stats.Evictions += s.l2.stats.Evictions
-		base.l2.stats.Writebacks += s.l2.stats.Writebacks
-		base.MemReads += s.MemReads
-		base.MemWrites += s.MemWrites
-	}
-	return base
 }
 
 // SetCycleSource installs a clock for the Cycle stamp on emitted
@@ -431,20 +368,7 @@ func (h *Hierarchy) FlushTx() error {
 	return h.txbuf.Flush()
 }
 
-// SetMuted toggles statistics and transaction emission, leaving simulation
-// state (line contents, LRU order, cycle clock) live.  Sharded stacks mute a
-// shard's hierarchy outside its owned iteration span; the tracer flushes its
-// staging buffer before every flip so batches never straddle a mute change.
-func (h *Hierarchy) SetMuted(m bool) {
-	h.muted = m
-	h.l1.muted = m
-	h.l2.muted = m
-}
-
 func (h *Hierarchy) emit(addr uint64, write bool) {
-	if h.muted {
-		return
-	}
 	if write {
 		h.MemWrites++
 	} else {

@@ -279,22 +279,11 @@ func (s *Session) fast(ctx context.Context, name string) (*Run, error) {
 	return v.(*Run), nil
 }
 
-// shards returns the effective shard count for instrumented runs: sessions
-// with armed faults stay on the single-stack path (fault injection targets
-// the one live pipeline of a run, which selective replay would multiply).
-func (s *Session) shards() int {
-	if s.cfg.fault.Enabled() {
-		return 1
-	}
-	return s.cfg.shards
-}
-
 // run executes one instrumented run of the named app through pipeline.Run
-// on the session's scale, with the session's fault spec injected into pcfg
-// and its shard count applied.
+// on the session's scale, with the session's fault spec injected into pcfg.
 func (s *Session) run(ctx context.Context, name string, pcfg pipeline.Config) (*pipeline.Stack, apps.App, error) {
 	s.chaos(&pcfg)
-	return pipeline.Run(ctx, pcfg, name, s.cfg.scale, s.cfg.iterations, s.shards())
+	return pipeline.Run(ctx, pcfg, name, s.cfg.scale, s.cfg.iterations)
 }
 
 func (s *Session) runFast(ctx context.Context, name string) (*Run, error) {
@@ -568,7 +557,7 @@ func (s *Session) latencySweep(ctx context.Context, name string) ([]cpusim.Sweep
 				Perf:      countingPerf(sink, &refs),
 			}
 			s.chaos(&pcfg)
-			_, _, runErr = pipeline.Run(ctx, pcfg, name, s.cfg.scale, 1, 1)
+			_, _, runErr = pipeline.Run(ctx, pcfg, name, s.cfg.scale, 1)
 		}
 		res, err := cpusim.Sweep(Figure12Devices, Figure12Latencies, replay)
 		if err != nil {

@@ -34,6 +34,11 @@ import (
 //	3: adds the optional "shards" count (deterministic intra-run
 //	   sharding; the merged result is byte-identical to shards=1).
 //	   Version-1 and -2 payloads decode unchanged.
+//
+// Intra-run sharding has since been removed without a version bump: the
+// "shards" field still decodes, 0 and 1 mean what they always meant (one
+// stack per run), and larger counts are rejected by Validate, so no
+// accepted payload changes meaning.
 const SchemaVersion = 3
 
 // Job lifecycle states, the vocabulary of JobResult.State.  A job moves
@@ -63,8 +68,7 @@ const (
 //	  "jobs": 4,                    // worker-pool bound, 0 = GOMAXPROCS
 //	  "fault": "sink:every=50,seed=7", // chaos spec, default none
 //	  "retries": 2,                 // per-run retry attempts
-//	  "sample": "bernoulli:rate=64,seed=7", // sampled tracing, default off (v2)
-//	  "shards": 4                   // intra-run sharding, default 1 (v3)
+//	  "sample": "bernoulli:rate=64,seed=7" // sampled tracing, default off (v2)
 //	}
 type JobSpec struct {
 	SchemaVersion int      `json:"schema_version"`
@@ -80,10 +84,10 @@ type JobSpec struct {
 	// every instrumented run of the job to seeded sampled tracing.  Empty
 	// (the default) observes every reference.  Schema version 2.
 	Sample string `json:"sample,omitempty"`
-	// Shards splits every instrumented run's iteration space across this
-	// many per-shard stacks, merged deterministically (see WithShards); the
-	// results are byte-identical to an unsharded run.  0 or 1 keep the
-	// single-stack path.  Incompatible with "fault".  Schema version 3.
+	// Shards is the retired intra-run shard count (schema version 3), kept
+	// only so older payloads and journals still decode.  Validate accepts
+	// 0 and 1, the one-stack-per-run behaviour every run has, and rejects
+	// anything larger; Normalized drops the field.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -108,11 +112,17 @@ func (s JobSpec) Normalized() JobSpec {
 			s.Sample = ""
 		}
 	}
-	// shards=1 is the single-stack default; canonicalize it away so equal
-	// configurations serialize and key identically.
-	if s.Shards == 1 {
-		s.Shards = 0
+	// An empty list selects the same default as an absent one; drop it so
+	// the normalized spec survives a JSON round trip (omitempty elides it).
+	if len(s.Apps) == 0 {
+		s.Apps = nil
 	}
+	if len(s.Exhibits) == 0 {
+		s.Exhibits = nil
+	}
+	// shards=1 is what every run does; drop it so equal configurations
+	// serialize and key identically.
+	s.Shards = 0
 	return s
 }
 
@@ -162,8 +172,8 @@ func (s JobSpec) Validate() error {
 	if s.Shards < 0 {
 		return fmt.Errorf("experiments: shards %d must be non-negative", s.Shards)
 	}
-	if s.Shards > 1 && s.Fault != "" {
-		return fmt.Errorf("experiments: shards and fault are incompatible (fault injection targets the one live pipeline of a run)")
+	if s.Shards > 1 {
+		return fmt.Errorf("experiments: shards %d: intra-run sharding was removed; omit the field or set it to 1", s.Shards)
 	}
 	return nil
 }
@@ -201,9 +211,6 @@ func (s JobSpec) SessionOptions() ([]Option, error) {
 		}
 		opts = append(opts, WithSample(spec))
 	}
-	if n.Shards > 1 {
-		opts = append(opts, WithShards(n.Shards))
-	}
 	return opts, nil
 }
 
@@ -236,9 +243,6 @@ func (s JobSpec) SessionKey() string {
 		",retries=" + strconv.Itoa(n.Retries)
 	if n.Sample != "" {
 		key += ",sample=" + n.Sample
-	}
-	if n.Shards > 1 {
-		key += ",shards=" + strconv.Itoa(n.Shards)
 	}
 	return key
 }

@@ -39,7 +39,6 @@ type config struct {
 	cache      *runner.Cache
 	clock      func() time.Time
 	sample     memtrace.SampleSpec
-	shards     int
 }
 
 func defaultConfig() config {
@@ -182,22 +181,6 @@ func WithSample(spec memtrace.SampleSpec) Option {
 	return optionFunc(func(c *config) {
 		if spec.Enabled() {
 			c.sample = spec
-		}
-	})
-}
-
-// WithShards splits every instrumented run's iteration space across n
-// per-shard stacks (see pipeline.Run): each shard replays the app
-// deterministically and records only its owned span, and the session merges
-// the shards into one result byte-identical to the unsharded run.  Because
-// the products are identical, sharded and unsharded runs share run-cache
-// entries.  Values below 2 keep the single-stack path; sessions with armed
-// faults ignore sharding (fault injection targets the one live pipeline of
-// a run, which selective replay would multiply).
-func WithShards(n int) Option {
-	return optionFunc(func(c *config) {
-		if n > 1 {
-			c.shards = n
 		}
 	})
 }

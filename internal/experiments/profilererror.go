@@ -93,7 +93,7 @@ func (s *Session) profilerRun(ctx context.Context, app string, spec memtrace.Sam
 	v, err := s.do(ctx, s.key(app, "profiler", profile),
 		func(ctx context.Context) (any, uint64, error) {
 			stack, _, err := pipeline.Run(ctx, pipeline.Config{StackMode: memtrace.FastStack, Sample: spec},
-				app, s.cfg.scale, s.cfg.iterations, 1)
+				app, s.cfg.scale, s.cfg.iterations)
 			if err != nil {
 				return nil, 0, err
 			}

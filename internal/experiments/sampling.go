@@ -49,7 +49,7 @@ func (s *Session) SamplingStudy(app string, periods []int) ([]SamplingRow, error
 				stack, _, err := pipeline.Run(ctx, pipeline.Config{
 					StackMode: memtrace.FastStack,
 					Sample:    memtrace.SampleSpec{Mode: memtrace.SamplePeriodic, Rate: uint64(period)},
-				}, app, s.cfg.scale, s.cfg.iterations, 1)
+				}, app, s.cfg.scale, s.cfg.iterations)
 				if err != nil {
 					return nil, 0, err
 				}

@@ -3,21 +3,20 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 )
 
 // This file is the flow-sensitive tier of the analyzer framework: an
 // intra-procedural control-flow graph over go/ast function bodies, a
 // forward dataflow solver in the reaching-definitions style (per-fact
 // may-bits joined by union over a worklist), and the path query the
-// "X on every path to return" checks share.  The arenaown, lockorder
-// and ctxflow passes are built on it; the syntactic passes
+// "X on every path to return" checks share.  The lockorder and ctxflow
+// passes are built on it; the syntactic passes
 // (determinism, metricname, errcontract, stickysink) do not need it.
 //
 // The graph is deliberately modest — no SSA, no interprocedural
 // summaries — because every invariant the passes prove is local to one
-// function body plus the package's declarations: a batch obtained here
-// must be handed off here, a mutex locked here must be unlocked here.
+// function body plus the package's declarations: a mutex locked here must
+// be unlocked here.
 
 // Block is one basic block: a maximal straight-line node sequence.
 // Nodes are statements, plus the condition expressions of the branch
@@ -469,55 +468,4 @@ func (g *CFG) reachesExitWithout(from *Block, startIdx int, stop func(ast.Node) 
 		}
 	}
 	return false
-}
-
-// --- def/use helpers ---------------------------------------------------
-
-// usesObject reports whether n mentions obj (an identifier use or
-// definition resolved to it), excluding occurrences inside the subtrees
-// listed in skip.
-func usesObject(p *Package, n ast.Node, obj types.Object, skip ...ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(x ast.Node) bool {
-		if found {
-			return false
-		}
-		for _, s := range skip {
-			if x == s {
-				return false
-			}
-		}
-		if id, ok := x.(*ast.Ident); ok {
-			if o := p.Info.Uses[id]; o != nil && o == obj {
-				found = true
-			}
-			if o := p.Info.Defs[id]; o != nil && o == obj {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// rootIdent peels selectors, index and slice expressions down to the
-// base identifier an lvalue or operand hangs off ("s.txCaps[i]" -> s),
-// or nil when the base is not a plain identifier.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }

@@ -34,7 +34,6 @@ var goldenCases = []struct {
 	{"errcontract", "nvscavenger/internal/lintfixture/errcontract", []string{"errcontract"}},
 	{"stickysink", "nvscavenger/internal/lintfixture/stickysink", []string{"stickysink"}},
 	{"suppress", "nvscavenger/internal/trace/lintfixture", []string{"determinism"}},
-	{"arenaown", "nvscavenger/internal/lintfixture/arenaown", []string{"arenaown"}},
 	{"lockorder", "nvscavenger/internal/lintfixture/lockorder", []string{"lockorder"}},
 	{"ctxflow", "nvscavenger/internal/runner/lintfixture", []string{"ctxflow"}},
 }
@@ -148,7 +147,7 @@ func TestNewSuiteUnknownPass(t *testing.T) {
 }
 
 func TestPassRegistry(t *testing.T) {
-	want := []string{"arenaown", "ctxflow", "determinism", "errcontract", "lockorder", "metricname", "stickysink"}
+	want := []string{"ctxflow", "determinism", "errcontract", "lockorder", "metricname", "stickysink"}
 	got := PassNames()
 	if len(got) != len(want) {
 		t.Fatalf("PassNames = %v, want %v", got, want)

@@ -57,39 +57,7 @@ type Config struct {
 	// rate; use Estimator to rescale the observed per-object counters into
 	// estimates of the true values.
 	Sample SampleSpec
-	// Window restricts recording to a contiguous span of the iteration
-	// space for intra-run sharding.  The tracer still replays every event
-	// deterministically (so cache, sampler and attribution state evolve
-	// exactly as in a full run) but only records statistics and emits
-	// trace/perf events for iterations it owns.  Nil records everything.
-	Window *Window
-	// Arena optionally supplies the staging slab for the Sink buffer from a
-	// shared batch arena instead of a private allocation; it is used when
-	// BufferSize is zero or equal to the arena's batch size.  Call
-	// ReleaseBuffers after Close to hand the slab back.
-	Arena *trace.Arena[trace.Access]
 }
-
-// Window is a contiguous slice of a run's iteration space owned by one shard
-// of a sharded execution.  Main-loop iterations are 1-based; a shard owns
-// [Start, End] inclusive.  Exactly one shard sets First (it owns the
-// pre-computing phase, iteration 0 before the main loop) and exactly one sets
-// Last (it owns the post-processing phase).  The Last shard additionally
-// maintains full attribution state (registry lookups, pattern-delta chains)
-// for references outside its span, so its structural state — object index,
-// LRU cache, pattern counters — finishes identical to a full run's.
-type Window struct {
-	Start, End  int
-	First, Last bool
-	// OnOwnership, when set, is invoked after every ownership flip, once
-	// the staging buffer has been flushed (a batch never mixes events from
-	// two owners); sharded stacks use it to mute the cache hierarchy's
-	// statistics outside the owned span.
-	OnOwnership func(owned bool)
-}
-
-// contains reports whether the window owns main-loop iteration i.
-func (w *Window) contains(i int) bool { return i >= w.Start && i <= w.End }
 
 // PerfSink is the batched performance-event consumer contract; it is
 // trace.PerfSink, aliased here for call sites that configure a Tracer.
@@ -155,11 +123,6 @@ type Tracer struct {
 	// unobserved); Sampled+SampledOut is the true reference count.
 	SampledOut uint64
 
-	// win is the owned iteration window (nil = own everything); owned
-	// caches whether the current iteration falls inside it.
-	win   *Window
-	owned bool
-
 	closed bool
 }
 
@@ -190,8 +153,6 @@ func New(cfg Config) *Tracer {
 		segIter:    map[trace.Segment][]trace.Stats{},
 		iterInstrs: []uint64{0},
 		sampler:    newSampler(spec),
-		win:        cfg.Window,
-		owned:      cfg.Window == nil || cfg.Window.First,
 	}
 	if spec.Mode == SampleBytes && spec.Enabled() {
 		t.sampleBytes = map[ObjectID]uint64{}
@@ -203,11 +164,7 @@ func New(cfg Config) *Tracer {
 		})
 	}
 	if cfg.Sink != nil {
-		if cfg.Arena != nil && (cfg.BufferSize <= 0 || cfg.BufferSize == cfg.Arena.BatchSize()) {
-			t.buf = trace.NewArenaBuffer(cfg.Sink, cfg.Arena)
-		} else {
-			t.buf = trace.NewBuffer(cfg.Sink, cfg.BufferSize)
-		}
+		t.buf = trace.NewBuffer(cfg.Sink, cfg.BufferSize)
 	}
 	if cfg.Perf != nil {
 		size := cfg.BufferSize
@@ -229,9 +186,6 @@ func (t *Tracer) BeginIteration() {
 	t.iter = len(t.iterInstrs)
 	t.iterInstrs = append(t.iterInstrs, 0)
 	t.instrs = 0
-	if t.win != nil {
-		t.setOwned(t.win.contains(t.iter))
-	}
 }
 
 // EndIteration closes the current timestep and returns to no particular
@@ -247,28 +201,6 @@ func (t *Tracer) PostPhase() {
 	t.finishIterationAccounting()
 	t.iter = 0
 	t.instrs = t.iterInstrs[0]
-	if t.win != nil {
-		t.setOwned(t.win.Last)
-	}
-}
-
-// setOwned flips iteration ownership.  The staging buffer is drained before
-// the flip so a batch never mixes events recorded under two owners — the
-// downstream hierarchy's mute state must match every event in a batch.
-func (t *Tracer) setOwned(owned bool) {
-	if owned == t.owned {
-		return
-	}
-	if t.buf != nil {
-		// The sink error is sticky inside the buffer and re-surfaced by
-		// Close; this flush only aligns batches to the ownership boundary.
-		//nvlint:ignore errcontract sticky buffer error is reported by Tracer.Close
-		_ = t.buf.Flush()
-	}
-	t.owned = owned
-	if t.win.OnOwnership != nil {
-		t.win.OnOwnership(owned)
-	}
 }
 
 func (t *Tracer) finishIterationAccounting() {
@@ -328,34 +260,7 @@ func (t *Tracer) access(addr uint64, size uint8, op trace.Op) {
 		// sampled-out reference used to vanish from the perf stream,
 		// silently drifting the CPU timing study).
 		t.perfGap++
-		if t.owned {
-			t.SampledOut++
-		}
-		return
-	}
-	if !t.owned {
-		// Out-of-span reference of a sharded replay: the event still flows
-		// to the (muted) cache hierarchy so simulator state stays exact,
-		// and it resets the perf gap as if its event had been emitted (the
-		// owning shard emits it), but nothing is recorded here.  The Last
-		// shard additionally replays attribution so its object index, LRU
-		// cache and pattern chains finish identical to a full run's.
-		if t.win.Last {
-			var obj *Object
-			switch t.classify(addr) {
-			case trace.SegStack:
-				obj = t.attributeStack(addr)
-			case trace.SegHeap, trace.SegGlobal:
-				obj = t.reg.lookup(addr)
-			}
-			if obj != nil {
-				obj.notePattern(addr)
-			}
-		}
-		t.perfGap = 0
-		if t.buf != nil {
-			t.buf.Add(trace.Access{Addr: addr, Size: size, Op: op})
-		}
+		t.SampledOut++
 		return
 	}
 	t.Sampled++
@@ -584,12 +489,4 @@ func (t *Tracer) Close() error {
 		}
 	}
 	return err
-}
-
-// ReleaseBuffers hands arena-drawn staging slabs back to their arena.  Call
-// only after Close; the tracer must not trace afterwards.
-func (t *Tracer) ReleaseBuffers() {
-	if t.buf != nil {
-		t.buf.Release()
-	}
 }

@@ -5,7 +5,7 @@ package pipeline
 // returns.  A stage that keeps a reference instead of copying what it
 // needs works in unit tests (where each batch is a fresh slice) and then
 // corrupts data under the real tracer, whose staging buffer is recycled —
-// exactly the bug class the arena refactor makes easier to write.
+// exactly the bug class batched hand-off makes easy to write.
 //
 // This file is an aliasing detector over every in-tree Stage/Sink
 // implementation: drive a deterministic batch stream through each consumer
@@ -167,37 +167,6 @@ func TestNoBatchAliasingCombinators(t *testing.T) {
 			c := &Capture[trace.Access]{}
 			s := Counted[trace.Access](reg, "aliasing", c)
 			return s.Flush, func() string { return fmt.Sprint(c.Items) + metricsState(reg) }
-		})
-	poisonRun(t, "ChunkCapture", txBatches, poisonTx,
-		func(t *testing.T) (func([]trace.Transaction) error, func() string) {
-			cc := NewTxChunkCapture(trace.NewArena[trace.Transaction](128))
-			return cc.FlushTx, func() string {
-				var sb strings.Builder
-				fmt.Fprintf(&sb, "len=%d ", cc.Len())
-				if err := cc.Deliver(func(batch []trace.Transaction) error {
-					fmt.Fprint(&sb, batch)
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				cc.Release()
-				return sb.String()
-			}
-		})
-	poisonRun(t, "PerfChunkCapture", perfBatches, poisonPerf,
-		func(t *testing.T) (func([]trace.PerfEvent) error, func() string) {
-			pc := NewPerfChunkCapture(trace.NewArena[trace.PerfEvent](128))
-			return pc.FlushEvents, func() string {
-				var sb strings.Builder
-				if err := pc.Deliver(func(batch []trace.PerfEvent) error {
-					fmt.Fprint(&sb, batch)
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				pc.Release()
-				return sb.String()
-			}
 		})
 }
 

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"testing"
 
 	"nvscavenger/internal/apps"
@@ -37,11 +36,11 @@ func (c *txStatsSink) FlushTx(batch []trace.Transaction) error {
 // once up front so the app and tracer stay out of the timed region.
 //
 // The headline "batched" arm is the steady-state unit of the dataflow: one op
-// delivers one full arena batch (trace.DefaultTxBufferSize transactions —
+// delivers one full batch (trace.DefaultTxBufferSize transactions —
 // the hierarchy's staging-buffer flush) to the concrete consumer.  That is
 // the per-batch cost the ISSUE's contract prices — one call per batch — and
 // it must run allocation-free.  "full-trace" replays the entire captured
-// trace per op (the pre-arena benchmark shape, kept for cross-snapshot
+// trace per op (the original benchmark shape, kept for cross-snapshot
 // trajectory).
 func BenchmarkPipelineThroughput(b *testing.B) {
 	app, err := apps.New("gtc", 0.3)
@@ -87,30 +86,6 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkPipelineSharded runs the full instrumented stack end to end at
-// several shard counts.  Selective replay means shard k re-executes the
-// run's prefix to reach its span, and Run drives the shards one after
-// another, so higher shard counts cost replay overhead; the series exists to
-// price that trade and to keep the merge path on the benchmark snapshot.
-func BenchmarkPipelineSharded(b *testing.B) {
-	arenas := NewArenas(0)
-	run := func(b *testing.B, shards int) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			cacheCfg := cachesim.PaperConfig()
-			cfg := Config{StackMode: memtrace.FastStack, Cache: &cacheCfg, CaptureTx: true, Arenas: arenas}
-			if _, _, err := Run(context.Background(), cfg, "gtc", 0.1, 4, shards); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	// The "=" in the sub-benchmark names keeps them distinct from go test's
-	// -GOMAXPROCS name suffix, which snapshot parsers strip.
-	b.Run("shards=1", func(b *testing.B) { run(b, 1) })
-	b.Run("shards=2", func(b *testing.B) { run(b, 2) })
-	b.Run("shards=4", func(b *testing.B) { run(b, 4) })
 }
 
 // BenchmarkPipelineInstrumentationOverhead measures what stage metrics cost

@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"nvscavenger/internal/apps"
@@ -33,13 +35,7 @@ func countedBuild(t *testing.T, cfg Config) *Stack {
 		if len(txStages) > 0 {
 			txSink = ToTxSink(Counted(reg, "transactions", Tee(txStages...), ls...))
 		}
-		var h *cachesim.Hierarchy
-		var err error
-		if cfg.Arenas != nil {
-			h, err = cachesim.NewWithArena(*cfg.Cache, txSink, cfg.Arenas.Tx)
-		} else {
-			h, err = cachesim.New(*cfg.Cache, txSink)
-		}
+		h, err := cachesim.New(*cfg.Cache, txSink)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,28 +56,45 @@ func countedBuild(t *testing.T, cfg Config) *Stack {
 	if cfg.Perf != nil {
 		perf = trace.PerfSinkFunc(Counted(reg, "perf", StageFunc[trace.PerfEvent](cfg.Perf.FlushEvents), ls...).Flush)
 	}
-	mcfg := memtrace.Config{
+	st.Tracer = memtrace.New(memtrace.Config{
 		StackMode:  cfg.StackMode,
 		Sample:     cfg.Sample,
 		BufferSize: cfg.BufferSize,
 		Sink:       sink,
 		Perf:       perf,
-	}
-	if cfg.Arenas != nil {
-		mcfg.Arena = cfg.Arenas.Access
-	}
-	st.Tracer = memtrace.New(mcfg)
+	})
 	return st
 }
 
-// smallArenas stages accesses and transactions in small slabs, so a
-// failing consumer trips mid-run rather than at the final drain.
-func smallArenas() *Arenas {
-	return &Arenas{
-		Access: trace.NewArena[trace.Access](256),
-		Tx:     trace.NewArena[trace.Transaction](64),
-		Perf:   trace.NewArena[trace.PerfEvent](256),
+// perfCap captures the performance-event stream.
+type perfCap struct{ events []trace.PerfEvent }
+
+func (p *perfCap) FlushEvents(batch []trace.PerfEvent) error {
+	p.events = append(p.events, batch...)
+	return nil
+}
+
+// metricsText renders a registry snapshot as its text exposition.
+func metricsText(t *testing.T, reg *obs.Registry) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := reg.Snapshot().WriteText(&b); err != nil {
+		t.Fatal(err)
 	}
+	return b.String()
+}
+
+// firstDiff locates the first line where two renderings diverge.
+func firstDiff(want, got string) string {
+	w := bytes.Split([]byte(want), []byte("\n"))
+	g := bytes.Split([]byte(got), []byte("\n"))
+	n := min(len(w), len(g))
+	for i := 0; i < n; i++ {
+		if !bytes.Equal(w[i], g[i]) {
+			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, w[i], g[i])
+		}
+	}
+	return fmt.Sprintf("line counts differ: want %d, got %d", len(w), len(g))
 }
 
 // failAfter returns a check that passes n calls and fails every later one.
@@ -115,7 +128,7 @@ func TestFoldMatchesLiveCounting(t *testing.T) {
 		}},
 		{"tap+cache", false, func() Config {
 			c := cachesim.PaperConfig()
-			return Config{Cache: &c, AccessTaps: []trace.Sink{&trace.Stats{}}, Arenas: smallArenas()}
+			return Config{Cache: &c, AccessTaps: []trace.Sink{&trace.Stats{}}, BufferSize: 256}
 		}},
 		{"perf-only", false, func() Config {
 			return Config{Perf: &perfCap{}, Sample: memtrace.SampleSpec{Mode: memtrace.SamplePeriodic, Rate: 3}}
@@ -124,10 +137,13 @@ func TestFoldMatchesLiveCounting(t *testing.T) {
 			return Config{StackMode: memtrace.SlowStack, AccessTaps: []trace.Sink{&trace.Stats{}}}
 		}},
 		{"failing-txsink", true, func() Config {
+			// A small L2 misses often enough that the default transaction
+			// batch fills, and the sink trips, well before the final drain.
 			c := cachesim.PaperConfig()
+			c.L2.SizeBytes = 16 << 10
 			fail := failAfter(2)
 			sink := trace.TxSinkFunc(func([]trace.Transaction) error { return fail() })
-			return Config{Cache: &c, TxSinks: []trace.TxSink{sink}, Arenas: smallArenas()}
+			return Config{Cache: &c, TxSinks: []trace.TxSink{sink}, BufferSize: 256}
 		}},
 		{"failing-txsink-at-drain", true, func() Config {
 			c := cachesim.PaperConfig()
@@ -214,9 +230,8 @@ func init() {
 }
 
 // TestRunClosesOnErrorPaths: an app failure or a cancelled context makes
-// Run return that error, yet the stack is still closed — its arena slabs
-// are all handed back (Gets-Reuses-Free == 0) and, unsharded, its stage
-// metrics are folded.
+// Run return that error and no stack or app, yet the stack is still closed:
+// its stage metrics are folded.
 func TestRunClosesOnErrorPaths(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -230,36 +245,27 @@ func TestRunClosesOnErrorPaths(t *testing.T) {
 		{"ctx-error", cancelled, "gtc", context.Canceled},
 	}
 	for _, tc := range cases {
-		for _, shards := range []int{1, 3} {
-			arenas := NewArenas(0)
-			reg := obs.NewRegistry()
-			cache := cachesim.PaperConfig()
-			cfg := Config{
-				StackMode: memtrace.FastStack,
-				Cache:     &cache,
-				CaptureTx: true,
-				Perf:      &perfCap{},
-				Arenas:    arenas,
-				Metrics:   reg,
-			}
-			st, app, err := Run(tc.ctx, cfg, tc.app, 0.05, 4, shards)
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("%s shards=%d: err = %v, want %v", tc.name, shards, err, tc.want)
-			}
-			if st != nil || app != nil {
-				t.Errorf("%s shards=%d: failed Run must return no stack or app", tc.name, shards)
-			}
-			if n := outstanding(arenas.Access) + outstanding(arenas.Tx) + outstanding(arenas.Perf); n != 0 {
-				t.Errorf("%s shards=%d: %d arena slab(s) never handed back", tc.name, shards, n)
-			}
-			if shards == 1 {
-				if _, ok := reg.Snapshot().Counter("pipeline_events_total", obs.L("stage", "accesses")); !ok {
-					t.Errorf("%s: Close did not fold the stage metrics", tc.name)
-				}
-			}
+		reg := obs.NewRegistry()
+		cache := cachesim.PaperConfig()
+		cfg := Config{
+			StackMode: memtrace.FastStack,
+			Cache:     &cache,
+			CaptureTx: true,
+			Perf:      &perfCap{},
+			Metrics:   reg,
+		}
+		st, app, err := Run(tc.ctx, cfg, tc.app, 0.05, 4)
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if st != nil || app != nil {
+			t.Errorf("%s: failed Run must return no stack or app", tc.name)
+		}
+		if _, ok := reg.Snapshot().Counter("pipeline_events_total", obs.L("stage", "accesses")); !ok {
+			t.Errorf("%s: Close did not fold the stage metrics", tc.name)
 		}
 	}
-	if _, _, err := Run(context.Background(), Config{}, "no-such-app", 0.05, 2, 1); err == nil {
+	if _, _, err := Run(context.Background(), Config{}, "no-such-app", 0.05, 2); err == nil {
 		t.Error("unknown app must fail")
 	}
 }

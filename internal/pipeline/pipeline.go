@@ -135,6 +135,16 @@ func (c *Capture[T]) Flush(batch []T) error {
 	return nil
 }
 
+// TxCapture is Capture with the concrete trace.TxSink contract on top, so a
+// fused stack's transaction buffer flushes straight into it without an
+// adapter closure.
+type TxCapture struct {
+	Capture[trace.Transaction]
+}
+
+// FlushTx implements trace.TxSink.
+func (c *TxCapture) FlushTx(batch []trace.Transaction) error { return c.Flush(batch) }
+
 // TxStage adapts a trace.TxSink (method FlushTx) to the generic Stage
 // contract so transaction consumers compose with the combinators.
 func TxStage(s trace.TxSink) Stage[trace.Transaction] {
@@ -184,16 +194,6 @@ type Config struct {
 	Metrics *obs.Registry
 	// Labels are attached to every pipeline metric series.
 	Labels []obs.Label
-	// Arenas, when set, supplies every staging slab in the stack (tracer
-	// access buffer, hierarchy transaction buffer) from shared batch arenas
-	// instead of private allocations; Close hands the slabs back.  Sharded
-	// runs share one Arenas across their shards.
-	Arenas *Arenas
-
-	// window restricts recording to an owned slice of the iteration space;
-	// only buildSharded sets it (Config is copied by value, so callers
-	// outside the package cannot).
-	window *memtrace.Window
 }
 
 // Stack is an assembled dataflow: the tracer the instrumented application
@@ -244,13 +244,7 @@ func Build(cfg Config) (*Stack, error) {
 			}
 			txSink = ToTxSink(Tee(stages...))
 		}
-		var hier *cachesim.Hierarchy
-		var err error
-		if cfg.Arenas != nil {
-			hier, err = cachesim.NewWithArena(*cfg.Cache, txSink, cfg.Arenas.Tx)
-		} else {
-			hier, err = cachesim.New(*cfg.Cache, txSink)
-		}
+		hier, err := cachesim.New(*cfg.Cache, txSink)
 		if err != nil {
 			return nil, err
 		}
@@ -273,24 +267,13 @@ func Build(cfg Config) (*Stack, error) {
 		sink = Tee(accessStages...)
 	}
 
-	if cfg.window != nil && st.Hierarchy != nil {
-		h := st.Hierarchy
-		cfg.window.OnOwnership = func(owned bool) { h.SetMuted(!owned) }
-		h.SetMuted(!cfg.window.First)
-	}
-
-	mcfg := memtrace.Config{
+	st.Tracer = memtrace.New(memtrace.Config{
 		StackMode:  cfg.StackMode,
 		Sample:     cfg.Sample,
 		BufferSize: cfg.BufferSize,
 		Sink:       sink,
 		Perf:       cfg.Perf,
-		Window:     cfg.window,
-	}
-	if cfg.Arenas != nil {
-		mcfg.Arena = cfg.Arenas.Access
-	}
-	st.Tracer = memtrace.New(mcfg)
+	})
 	return st, nil
 }
 
@@ -304,16 +287,11 @@ func MustBuild(cfg Config) *Stack {
 }
 
 // Run executes one instrumented run end to end: it creates the named app at
-// the given scale, builds the stack cfg declares — split across shards
-// per-shard stacks by selective replay when shards > 1 — drives the app for
-// iterations main-loop iterations, and closes (or merges) the stack on every
-// path, error paths included, so arena slabs always go back and the stage
-// metrics are always folded.  It returns the finished stack and the app that
-// executed the whole program.
-func Run(ctx context.Context, cfg Config, app string, scale float64, iterations, shards int) (*Stack, apps.App, error) {
-	if shards > 1 {
-		return runSharded(ctx, cfg, app, scale, iterations, shards)
-	}
+// the given scale, builds the stack cfg declares, drives the app for
+// iterations main-loop iterations, and closes the stack on every path, error
+// paths included, so the stage metrics are always folded.  It returns the
+// finished stack and the app that executed the program.
+func Run(ctx context.Context, cfg Config, app string, scale float64, iterations int) (*Stack, apps.App, error) {
 	a, err := apps.New(app, scale)
 	if err != nil {
 		return nil, nil, err
@@ -362,12 +340,6 @@ func (s *Stack) Close() error {
 		}
 	}
 	s.foldMetrics()
-	if s.cfg.Arenas != nil {
-		s.Tracer.ReleaseBuffers()
-		if s.Hierarchy != nil {
-			s.Hierarchy.ReleaseBuffers()
-		}
-	}
 	s.closeErr = err
 	return err
 }
@@ -388,35 +360,13 @@ func (s *Stack) foldMetrics() {
 	}
 	tr, h := s.Tracer, s.Hierarchy
 	if cfg.CaptureTx || len(cfg.TxSinks) > 0 {
-		txBatch := trace.DefaultTxBufferSize
-		if cfg.Arenas != nil {
-			txBatch = cfg.Arenas.Tx.BatchSize()
-		}
-		publishStage(cfg.Metrics, "transactions", h.MemReads+h.MemWrites-h.TxDropped(), h.TxTrips(), txBatch, cfg.Labels)
+		publishStage(cfg.Metrics, "transactions", h.MemReads+h.MemWrites-h.TxDropped(), h.TxTrips(), trace.DefaultTxBufferSize, cfg.Labels)
 	}
 	if h != nil || len(cfg.AccessTaps) > 0 {
-		// memtrace.New stages accesses in an arena slab when the sizes agree.
-		accessBatch := cfg.BufferSize
-		if a := cfg.Arenas; a != nil && (accessBatch <= 0 || accessBatch == a.Access.BatchSize()) {
-			accessBatch = a.Access.BatchSize()
-		}
-		publishStage(cfg.Metrics, "accesses", tr.Sampled-tr.SinkDropped(), tr.SinkTrips(), accessBatch, cfg.Labels)
+		publishStage(cfg.Metrics, "accesses", tr.Sampled-tr.SinkDropped(), tr.SinkTrips(), cfg.BufferSize, cfg.Labels)
 	}
 	if cfg.Perf != nil {
 		publishStage(cfg.Metrics, "perf", tr.Sampled-tr.PerfDropped, tr.PerfTrips(), cfg.BufferSize, cfg.Labels)
-	}
-}
-
-// PublishStageMetrics records the pipeline_* series of one healthy stage
-// boundary from its event total: the events that crossed it and the exact
-// batch count its staging buffer flushed (full batches plus one final
-// partial, so an exact ceiling).  Frontends use it to restore stage counters
-// for consumers — like a raw-access tap — that sharded runs cannot drive
-// live.  A zero or negative bufSize selects the default staging-buffer
-// capacity; a nil registry is a no-op.
-func PublishStageMetrics(reg *obs.Registry, stage string, events uint64, bufSize int, labels ...obs.Label) {
-	if reg != nil {
-		publishStage(reg, stage, events, 0, bufSize, labels)
 	}
 }
 

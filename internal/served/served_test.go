@@ -2,12 +2,17 @@ package served
 
 import (
 	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"nvscavenger/internal/experiments"
+	"nvscavenger/internal/journal"
 	"nvscavenger/internal/obs"
 	"nvscavenger/internal/resilience"
 )
@@ -107,49 +112,73 @@ func TestConcurrentSubmissionSingleFlight(t *testing.T) {
 	}
 }
 
-// TestShardedJobByteIdentical: a sharded job served over the jobs API
-// produces the same report bytes as the unsharded job.  Each spec runs in
-// its own manager: sharded and unsharded jobs deliberately share the
-// healthy run cache (the merged products are byte-identical), so a single
-// manager would memoize the first job's runs and never execute the second
-// path.
-func TestShardedJobByteIdentical(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
-	defer cancel()
+// shardsRemoved is the message every spec asking for more than one shard
+// per run fails with.
+const shardsRemoved = "intra-run sharding was removed"
 
-	plain := quickSpec()
-	sharded := quickSpec()
-	sharded.Shards = 2
+// TestSubmitShardsCompatibility: the retired "shards" field still decodes.
+// shards:1 is the one-stack run every job does and runs normally; anything
+// larger is rejected at the door with the sharding-removed message.
+func TestSubmitShardsCompatibility(t *testing.T) {
+	m := NewManager(Config{Workers: 1})
+	ts := httptest.NewServer(NewServer(m))
+	defer ts.Close()
+	defer drain(t, m)
 
-	var reports []string
-	for _, spec := range []experiments.JobSpec{plain, sharded} {
-		m := NewManager(Config{Workers: 1})
-		job, err := m.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := job.Wait(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.State != experiments.StateDone {
-			t.Fatalf("state = %s (%s)", res.State, res.Error)
-		}
-		// The "generated <timestamp>" header is wall-clock; everything
-		// below it must match byte for byte.
-		report := res.Report
-		if i := strings.Index(report, "\n"); i >= 0 {
-			if j := strings.Index(report[i+1:], "\n"); j >= 0 && strings.HasPrefix(report[i+1:], "generated ") {
-				report = report[:i+1] + report[i+1+j+1:]
-			}
-		}
-		reports = append(reports, report)
-		if err := m.Drain(ctx); err != nil {
-			t.Fatal(err)
-		}
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"shards":3}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if reports[0] != reports[1] {
-		t.Error("sharded job report diverges from unsharded job")
+	body, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), shardsRemoved) {
+		t.Errorf("shards:3 submit = %d %s, want 400 with %q", resp.StatusCode, body, shardsRemoved)
+	}
+
+	res, code := postJob(t, ts, `{"exhibits":["table1"],"scale":0.05,"iterations":2,"shards":1}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("shards:1 submit status = %d, want 202", code)
+	}
+	if final := await(t, m, res.ID); final.State != experiments.StateDone {
+		t.Fatalf("shards:1 job state = %s (%s)", final.State, final.Error)
+	}
+}
+
+// TestRecoveryFailsShardedSpec: a journal written before sharding was
+// removed may hold a submitted shards:3 spec.  Open still recovers, and
+// that job ends failed with the sharding-removed message instead of
+// running under a meaning it never had.
+func TestRecoveryFailsShardedSpec(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := journal.Open(filepath.Join(dir, "journal.wal"), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := quickSpec()
+	spec.Shards = 3
+	if err := j.Append(journal.Record{Kind: journal.KindSubmitted, Job: "job-1", Spec: &spec}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m, rec, err := Open(Config{Workers: 1, Clock: fixedClock(), StateDir: dir})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer drain(t, m)
+	if rec.Requeued != 1 {
+		t.Fatalf("recovery = %+v, want the submitted job requeued", rec)
+	}
+	res := await(t, m, "job-1")
+	if res.State != experiments.StateFailed || !strings.Contains(res.Error, shardsRemoved) {
+		t.Errorf("recovered sharded job = %s (%q), want failed with %q", res.State, res.Error, shardsRemoved)
 	}
 }
 

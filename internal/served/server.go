@@ -19,8 +19,8 @@ import (
 // internal/experiments: JobSpec in, JobResult out):
 //
 //	POST   /jobs             submit a JobSpec; 202 + JobResult (state queued).
-//	                         400 invalid spec, 429 queue full, 503 draining
-//	                         or breaker open.
+//	                         400 invalid spec, 413 body over 1 MiB, 429
+//	                         queue full, 503 draining or breaker open.
 //	GET    /jobs             list every job as status JobResults, in
 //	                         submission order.
 //	GET    /jobs/{id}        one job's JobResult (full once terminal).
@@ -106,11 +106,21 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	s.writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// maxSpecBytes bounds a submitted spec body.  A real spec is a few hundred
+// bytes; the bound keeps one client from making the daemon buffer an
+// arbitrarily large body.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.requests("submit").Inc()
-	spec, err := experiments.DecodeJobSpec(r.Body)
+	spec, err := experiments.DecodeJobSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.writeJSON(w, status, errorBody{Error: err.Error()})
 		return
 	}
 	job, err := s.m.Submit(spec)

@@ -193,6 +193,23 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyTooLarge: a spec body over the 1 MiB intake bound is
+// answered 413 and registers no job.
+func TestSubmitBodyTooLarge(t *testing.T) {
+	m := NewManager(Config{})
+	ts := httptest.NewServer(NewServer(m))
+	defer ts.Close()
+	defer drain(t, m)
+
+	huge := `{"apps":["` + strings.Repeat("a", maxSpecBytes) + `"]}`
+	if _, code := postJob(t, ts, huge); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized spec: status = %d, want 413", code)
+	}
+	if len(m.Jobs()) != 0 {
+		t.Errorf("oversized spec left %d jobs behind", len(m.Jobs()))
+	}
+}
+
 // TestQueueBackpressure: with one worker held and a one-slot queue, the
 // next submission must be rejected with 429 and must not register a job.
 func TestQueueBackpressure(t *testing.T) {

@@ -163,7 +163,6 @@ type Buffer struct {
 	n       int
 	err     error
 	dropped uint64
-	arena   *Arena[Access]
 	retry   resilience.RetryPolicy
 	retries uint64
 	trips   uint64
@@ -179,13 +178,6 @@ func NewBuffer(sink Sink, size int) *Buffer {
 		size = DefaultBufferSize
 	}
 	return &Buffer{sink: sink, buf: make([]Access, size)}
-}
-
-// NewArenaBuffer returns a Buffer whose staging slab is drawn from the arena
-// instead of freshly allocated; Release hands it back when the buffer is
-// retired.  Batch size is the arena's.
-func NewArenaBuffer(sink Sink, a *Arena[Access]) *Buffer {
-	return &Buffer{sink: sink, buf: a.Get(), arena: a}
 }
 
 // Add stages one access, flushing if the buffer fills.  Errors from the sink
@@ -237,27 +229,10 @@ func (b *Buffer) flush() {
 	b.n = 0
 }
 
-// Flush drains any staged accesses to the sink without closing the buffer;
-// sharded tracers call it at iteration-ownership boundaries so a batch never
-// mixes events from two owners.
-func (b *Buffer) Flush() error {
-	b.flush()
-	return b.err
-}
-
 // Close drains any staged accesses and returns the first sink error.
 func (b *Buffer) Close() error {
 	b.flush()
 	return b.err
-}
-
-// Release returns an arena-drawn staging slab to its arena.  The buffer must
-// not be used afterwards; Release on a buffer with a private slab is a no-op.
-func (b *Buffer) Release() {
-	if b.arena != nil && b.buf != nil {
-		b.arena.Put(b.buf)
-		b.buf = nil
-	}
 }
 
 // DefaultTxBufferSize is the number of transactions staged before a
@@ -275,7 +250,6 @@ type TxBuffer struct {
 	n       int
 	err     error
 	dropped uint64
-	arena   *Arena[Transaction]
 	retry   resilience.RetryPolicy
 	retries uint64
 	trips   uint64
@@ -290,12 +264,6 @@ func NewTxBuffer(sink TxSink, size int) *TxBuffer {
 		size = DefaultTxBufferSize
 	}
 	return &TxBuffer{sink: sink, buf: make([]Transaction, size)}
-}
-
-// NewArenaTxBuffer returns a TxBuffer whose staging slab is drawn from the
-// arena; Release hands it back when the buffer is retired.
-func NewArenaTxBuffer(sink TxSink, a *Arena[Transaction]) *TxBuffer {
-	return &TxBuffer{sink: sink, buf: a.Get(), arena: a}
 }
 
 // Add stages one transaction, flushing if the buffer fills.  Errors from
@@ -356,15 +324,6 @@ func (b *TxBuffer) Flush() error {
 func (b *TxBuffer) Close() error {
 	b.flush()
 	return b.err
-}
-
-// Release returns an arena-drawn staging slab to its arena.  The buffer must
-// not be used afterwards; Release on a buffer with a private slab is a no-op.
-func (b *TxBuffer) Release() {
-	if b.arena != nil && b.buf != nil {
-		b.arena.Put(b.buf)
-		b.buf = nil
-	}
 }
 
 // Stats accumulates aggregate counts over an access stream.  It doubles as a
