@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci lint vet build test race race-obs race-pipeline race-sampling race-served race-journal fuzz-smoke bench bench-snapshot bench-compare bench-e2e-test chaos report
+.PHONY: ci lint vet build test race race-obs race-pipeline race-sampling race-served race-journal fuzz-smoke bench bench-e2e-test chaos report
 
 ci: lint vet build race-obs race-pipeline race-sampling race-served race-journal race fuzz-smoke bench bench-e2e-test chaos
 
@@ -59,35 +59,22 @@ race-journal:
 	$(GO) test -race -count=2 ./internal/journal
 	$(GO) test -race -run 'Crash|Recovery|Journal|CleanRestart|Healthz|StateDir' ./internal/served ./cmd/nvserved
 
-# Fuzz the jobs-API spec decoder briefly: no input panics, no spec asking
-# for more than one shard per run is accepted, and every accepted spec's
-# normalized form survives an encode/decode round trip.
+# Fuzz every intake parser briefly, one target per line (go test -fuzz
+# takes one target per package).  The jobs-API spec decoder: no input
+# panics, no spec asking for more than one shard per run is accepted, and
+# every accepted spec's normalized form survives an encode/decode round
+# trip.  The sample and fault spec parsers: no input panics, and every
+# accepted spec parses back from its canonical String unchanged.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJobSpec -fuzztime 5s ./internal/experiments
+	$(GO) test -run '^$$' -fuzz FuzzParseSampleSpec -fuzztime 5s ./internal/memtrace
+	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 5s ./internal/faults
 
 # One pass over the pipeline-throughput and instrumentation-overhead
 # benchmarks: a smoke check that the fused dataflow, with and without its
 # stage metrics, keeps working, not a timing run.
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkPipeline|BenchmarkAblation(ObjectCache|Buffer)' -benchtime=1x -count=1 ./internal/pipeline .
-
-# Record the pipeline performance baseline: run the throughput,
-# instrumentation-overhead (metrics off vs on, one fused stack either way),
-# and sampled-tracing benchmarks at full benchtime and write the
-# parsed results to BENCH_PIPELINE.json (committed, so regressions show
-# up as diffs).  Not part of ci — timing runs need a quiet machine.
-bench-snapshot:
-	$(GO) test -run='^$$' -bench='BenchmarkPipeline(Throughput|InstrumentationOverhead|SampledTracing)' -count=1 ./internal/pipeline \
-		| $(GO) run ./cmd/nvbench -out BENCH_PIPELINE.json
-
-# Compare a fresh timing run against the committed baseline: one row per
-# benchmark and metric with the relative delta.  Report-only — timing
-# noise on a shared machine is not a CI failure; pass a threshold by hand
-# (`go run ./cmd/nvbench -compare BENCH_PIPELINE.json -threshold 20`) to
-# gate.
-bench-compare:
-	$(GO) test -run='^$$' -bench='BenchmarkPipeline(Throughput|InstrumentationOverhead|SampledTracing)' -count=1 ./internal/pipeline \
-		| $(GO) run ./cmd/nvbench -compare BENCH_PIPELINE.json
 
 # The end-to-end benchmark is its own module (benchmark/go.mod), so the
 # root `go test ./...` skips it; run its tests so API changes in the layers

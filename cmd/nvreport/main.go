@@ -72,7 +72,6 @@ func run(args []string, out io.Writer) error {
 	iters := fs.Int("iterations", 10, "main-loop iterations")
 	only := fs.String("only", "", "comma-separated exhibit subset (e.g. table5,fig12)")
 	jobs := fs.Int("jobs", 0, "maximum concurrent instrumented runs (0 = GOMAXPROCS)")
-	parallel := fs.Bool("parallel", true, "deprecated: -parallel=false is shorthand for -jobs 1")
 	progress := fs.Bool("progress", true, "stream per-run progress lines to stderr")
 	outdir := fs.String("outdir", "", "also write each exhibit to <outdir>/<name>.txt")
 	metricsOut := fs.String("metrics", "", "write the run's observability snapshot to this file (.json for JSON, text otherwise)")
@@ -95,14 +94,10 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	j := *jobs
-	if !*parallel {
-		j = 1
-	}
 	sessOpts := []experiments.Option{
 		experiments.WithScale(*scale),
 		experiments.WithIterations(*iters),
-		experiments.WithJobs(j),
+		experiments.WithJobs(*jobs),
 	}
 	if *faultSpec != "" {
 		spec, err := faults.Parse(*faultSpec)

@@ -15,7 +15,6 @@ package cachesim
 import (
 	"fmt"
 
-	"nvscavenger/internal/resilience"
 	"nvscavenger/internal/trace"
 )
 
@@ -256,7 +255,7 @@ func (l *level) invalidate(lineAddr uint64) (present, dirty bool) {
 // bulk, instead of one interface call per line fill or writeback.
 type Hierarchy struct {
 	l1, l2 *level
-	txbuf  *trace.TxBuffer
+	txbuf  *trace.Buffer[trace.Transaction]
 	// accesses drives the pseudo-cycle stamp on emitted transactions: with
 	// no core timing model, "cycles" advance one per processed reference,
 	// which is what a trace-fed power simulation expects (§IV: requests are
@@ -287,7 +286,7 @@ func New(cfg Config, sink trace.TxSink) (*Hierarchy, error) {
 	}
 	h := &Hierarchy{l1: l1, l2: l2}
 	if sink != nil {
-		h.txbuf = trace.NewTxBuffer(sink, 0)
+		h.txbuf = trace.NewBuffer(sink.FlushTx, trace.DefaultTxBufferSize)
 	}
 	return h, nil
 }
@@ -318,55 +317,18 @@ func (h *Hierarchy) L1Stats() LevelStats { return h.l1.stats }
 func (h *Hierarchy) L2Stats() LevelStats { return h.l2.stats }
 
 // Err returns the first sink error encountered.
-func (h *Hierarchy) Err() error {
-	if h.txbuf == nil {
-		return nil
-	}
-	return h.txbuf.Err()
-}
-
-// SetSinkRetry switches the transaction staging buffer into recoverable
-// mode: failing sink flushes are retried per the policy before tripping
-// sticky.  No-op for statistics-only hierarchies.
-func (h *Hierarchy) SetSinkRetry(p resilience.RetryPolicy) {
-	if h.txbuf != nil {
-		h.txbuf.SetRetry(p)
-	}
-}
+func (h *Hierarchy) Err() error { return h.txbuf.Err() }
 
 // TxDropped returns the transactions dropped after the sink tripped.
-func (h *Hierarchy) TxDropped() uint64 {
-	if h.txbuf == nil {
-		return 0
-	}
-	return h.txbuf.Dropped()
-}
-
-// TxRetries returns the sink-flush retries the recoverable mode performed.
-func (h *Hierarchy) TxRetries() uint64 {
-	if h.txbuf == nil {
-		return 0
-	}
-	return h.txbuf.Retries()
-}
+func (h *Hierarchy) TxDropped() uint64 { return h.txbuf.Dropped() }
 
 // TxTrips returns 1 once the sink error has tripped sticky, else 0.
-func (h *Hierarchy) TxTrips() uint64 {
-	if h.txbuf == nil {
-		return 0
-	}
-	return h.txbuf.Trips()
-}
+func (h *Hierarchy) TxTrips() uint64 { return h.txbuf.Trips() }
 
 // FlushTx drains the staged transaction batch into the sink.  Drain calls
 // it at end of simulation; call it directly to push out a partial batch
 // mid-run (e.g. before sampling a downstream consumer's state).
-func (h *Hierarchy) FlushTx() error {
-	if h.txbuf == nil {
-		return nil
-	}
-	return h.txbuf.Flush()
-}
+func (h *Hierarchy) FlushTx() error { return h.txbuf.Close() }
 
 func (h *Hierarchy) emit(addr uint64, write bool) {
 	if write {

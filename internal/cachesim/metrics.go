@@ -19,9 +19,8 @@ func (h *Hierarchy) ExportMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.Gauge("cachesim_mem_reads", labels...).Set(float64(h.MemReads))
 	reg.Gauge("cachesim_mem_writes", labels...).Set(float64(h.MemWrites))
 	// Staging-buffer health: transactions lost to a tripped sink, and the
-	// recoverable-mode retry/trip counts.  Zero on healthy runs — their
-	// presence in every snapshot is what makes silent drops visible.
+	// trip count.  Zero on healthy runs — their presence in every snapshot
+	// is what makes silent drops visible.
 	reg.Gauge("cachesim_txbuffer_dropped", labels...).Set(float64(h.TxDropped()))
-	reg.Gauge("cachesim_txbuffer_retries", labels...).Set(float64(h.TxRetries()))
 	reg.Gauge("cachesim_txbuffer_trips", labels...).Set(float64(h.TxTrips()))
 }

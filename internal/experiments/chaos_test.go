@@ -108,7 +108,7 @@ func TestSinkFaultAnnotatesEveryApp(t *testing.T) {
 	}
 }
 
-// TestHealthySessionIsNotDegraded: without faults or WithDegraded the
+// TestHealthySessionIsNotDegraded: without faults the
 // legacy contract holds — no degradation markers, no recorded failures.
 func TestHealthySessionIsNotDegraded(t *testing.T) {
 	s := NewSession(WithScale(0.05), WithIterations(3), WithApps("gtc"))

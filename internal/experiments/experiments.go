@@ -143,8 +143,8 @@ func (s *Session) RunErrors() []RunError {
 	return out
 }
 
-// Degraded reports whether the session runs in graceful-degradation mode
-// (armed faults or WithDegraded).
+// Degraded reports whether the session runs in graceful-degradation mode,
+// which WithFaults switches on when it arms a fault.
 func (s *Session) Degraded() bool { return s.cfg.degrade }
 
 // do schedules one keyed run on the engine, arming the worker-crash fault

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strconv"
 	"strings"
 
 	"nvscavenger/internal/apps"
@@ -228,23 +227,6 @@ func (s JobSpec) RunCacheKey() string {
 		return spec.String() // canonical parameter order
 	}
 	return s.Fault
-}
-
-// SessionKey is the canonical identity of the session-shaping fields: two
-// specs with equal keys configure interchangeable sessions (only the
-// exhibit selection may differ).  Used for logging and job-list grouping.
-func (s JobSpec) SessionKey() string {
-	n := s.Normalized()
-	key := "scale=" + strconv.FormatFloat(n.Scale, 'g', -1, 64) +
-		",iterations=" + strconv.Itoa(n.Iterations) +
-		",apps=" + strings.Join(n.Apps, "+") +
-		",jobs=" + strconv.Itoa(n.Jobs) +
-		",fault=" + n.RunCacheKey() +
-		",retries=" + strconv.Itoa(n.Retries)
-	if n.Sample != "" {
-		key += ",sample=" + n.Sample
-	}
-	return key
 }
 
 // JobResult is the serializable outcome of one experiment job: the

@@ -139,13 +139,6 @@ func WithFaults(spec faults.Spec) Option {
 	})
 }
 
-// WithDegraded switches the session into graceful-degradation mode without
-// arming faults: any genuinely failing app run is annotated and skipped
-// rather than aborting the whole sweep.
-func WithDegraded() Option {
-	return optionFunc(func(c *config) { c.degrade = true })
-}
-
 // WithClock overrides the wall clock of the session's engine (see
 // runner.WithClock): progress-event timestamps and per-run wall metrics
 // read it.  The nvserved daemon passes its service clock through so a

@@ -127,7 +127,7 @@ func Parse(text string) (Spec, error) {
 			spec.Every = n
 		case "prob":
 			p, err := strconv.ParseFloat(val, 64)
-			if err != nil || p <= 0 || p > 1 {
+			if err != nil || !(p > 0 && p <= 1) { // also rejects NaN
 				return Spec{}, fmt.Errorf("faults: spec %q: prob=%q must be in (0, 1]", text, val)
 			}
 			spec.Prob = p

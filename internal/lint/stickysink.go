@@ -6,13 +6,14 @@ import (
 )
 
 // stickysink enforces the buffered-pipeline failure contract from the
-// trace layer: a type that wraps a trace.Sink/TxSink/PerfSink behind a
-// sticky error field (trace.Buffer, trace.TxBuffer and anything shaped
-// like them) must check that error before invoking the sink — once a sink
-// has failed it is never called again; later batches are dropped and
-// counted.  The check is structural: in every method of such a type, a
-// call through the sink field must be preceded by an if-condition reading
-// the error field.
+// trace layer: a type that wraps a sink behind a sticky error field must
+// check that error before invoking the sink — once a sink has failed it is
+// never called again; later batches are dropped and counted.  A sink field
+// is a trace.Sink/TxSink/PerfSink or a batch callback func([]E) error, the
+// shape trace.Buffer holds.  The check is structural: in every method of
+// such a type, a call through the sink field (recv.sink.Flush(...) or
+// recv.sink(...)) must be preceded by an if-condition reading the error
+// field.
 type stickysink struct {
 	nopFinish
 }
@@ -34,9 +35,6 @@ type stickyType struct {
 
 func (s *stickysink) Check(p *Package, r *Reporter) {
 	ifaces := sinkInterfaces(p)
-	if len(ifaces) == 0 {
-		return
-	}
 	wrapped := map[string]stickyType{}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -101,25 +99,31 @@ func (s *stickysink) checkMethod(p *Package, r *Reporter, tname string, fd *ast.
 				guarded = true
 			}
 		case *ast.CallExpr:
-			sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-			if !ok || !w.sinkFields[inner.Sel.Name] {
-				return true
-			}
-			if id, ok := ast.Unparen(inner.X).(*ast.Ident); !ok || id.Name != recv {
-				return true
-			}
-			if !guarded {
+			if field := sinkCall(e.Fun, recv, w.sinkFields); field != "" && !guarded {
 				r.Report(e.Pos(), "stickysink",
 					"%s.%s invokes sink field %q without first checking the sticky error (a failed sink must never be called again)",
-					tname, fd.Name.Name, inner.Sel.Name)
+					tname, fd.Name.Name, field)
 			}
 		}
 		return true
 	})
+}
+
+// sinkCall returns the sink field a call's function expression invokes —
+// recv.<field>.Method for an interface sink, recv.<field> for a batch
+// callback — or "" when it invokes none.
+func sinkCall(fun ast.Expr, recv string, fields map[string]bool) string {
+	sel, ok := ast.Unparen(fun).(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
+		sel = inner
+	}
+	if id, ok := ast.Unparen(sel.X).(*ast.Ident); !ok || id.Name != recv || !fields[sel.Sel.Name] {
+		return ""
+	}
+	return sel.Sel.Name
 }
 
 // mentionsField reports whether expr reads recv.<field> for any field in
@@ -156,12 +160,18 @@ func sinkInterfaces(p *Package) []types.Type {
 }
 
 // isSinkType reports whether t is (or aliases) one of the sink interface
-// types.
+// types, or is a batch callback: a non-variadic func taking one slice and
+// returning only an error.
 func isSinkType(t types.Type, ifaces []types.Type) bool {
 	for _, iface := range ifaces {
 		if types.Identical(t, iface) {
 			return true
 		}
 	}
-	return false
+	sig, ok := t.Underlying().(*types.Signature)
+	if !ok || sig.Variadic() || sig.Params().Len() != 1 || sig.Results().Len() != 1 {
+		return false
+	}
+	_, slice := sig.Params().At(0).Type().Underlying().(*types.Slice)
+	return slice && isErrorType(sig.Results().At(0).Type())
 }

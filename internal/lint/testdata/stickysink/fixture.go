@@ -32,5 +32,31 @@ func (u *unguarded) flush(batch []trace.Transaction) {
 	}
 }
 
+// guardedBatch honours the contract for a generic batch-callback sink,
+// the shape of trace.Buffer.
+type guardedBatch[E any] struct {
+	sink func([]E) error
+	err  error
+}
+
+func (g *guardedBatch[E]) flush(batch []E) {
+	if g.err != nil {
+		return
+	}
+	g.err = g.sink(batch)
+}
+
+// unguardedBatch calls its batch callback without the check.
+type unguardedBatch[E any] struct {
+	sink func([]E) error
+	err  error
+}
+
+func (u *unguardedBatch[E]) flush(batch []E) {
+	u.err = u.sink(batch)
+}
+
 var _ = (*guarded).flush
 var _ = (*unguarded).flush
+var _ = (*guardedBatch[trace.Access]).flush
+var _ = (*unguardedBatch[trace.Transaction]).flush

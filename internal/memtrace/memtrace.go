@@ -16,10 +16,7 @@
 // hand-off to the cache simulator.
 package memtrace
 
-import (
-	"nvscavenger/internal/resilience"
-	"nvscavenger/internal/trace"
-)
+import "nvscavenger/internal/trace"
 
 // Config controls a Tracer.
 type Config struct {
@@ -67,17 +64,10 @@ type PerfSink = trace.PerfSink
 type Tracer struct {
 	cfg Config
 	reg *registry
-	buf *trace.Buffer
-
-	// perfBuf stages performance events for batched delivery to cfg.Perf;
-	// perfErr is the sink's first error (sticky, reported by Close, and
-	// short-circuiting like trace.Buffer).
-	perfBuf []trace.PerfEvent
-	perfErr error
-	// PerfDropped counts events discarded after a perf-sink error.
-	PerfDropped uint64
-	// PerfFlushes counts perf-buffer drains (benchmarks read it).
-	PerfFlushes uint64
+	// buf stages the access stream for cfg.Sink and perf the
+	// performance-event stream for cfg.Perf; each is nil when its sink is.
+	buf  *trace.Buffer[trace.Access]
+	perf *trace.Buffer[trace.PerfEvent]
 
 	// iteration state
 	iter       int
@@ -164,14 +154,10 @@ func New(cfg Config) *Tracer {
 		})
 	}
 	if cfg.Sink != nil {
-		t.buf = trace.NewBuffer(cfg.Sink, cfg.BufferSize)
+		t.buf = trace.NewBuffer(cfg.Sink.Flush, cfg.BufferSize)
 	}
 	if cfg.Perf != nil {
-		size := cfg.BufferSize
-		if size <= 0 {
-			size = trace.DefaultBufferSize
-		}
-		t.perfBuf = make([]trace.PerfEvent, 0, size)
+		t.perf = trace.NewBuffer(cfg.Perf.FlushEvents, cfg.BufferSize)
 	}
 	return t
 }
@@ -293,12 +279,9 @@ func (t *Tracer) access(addr uint64, size uint8, op trace.Op) {
 	if t.buf != nil {
 		t.buf.Add(trace.Access{Addr: addr, Size: size, Op: op})
 	}
-	if t.cfg.Perf != nil {
-		t.perfBuf = append(t.perfBuf, trace.PerfEvent{Gap: t.perfGap, Access: trace.Access{Addr: addr, Size: size, Op: op}})
+	if t.perf != nil {
+		t.perf.Add(trace.PerfEvent{Gap: t.perfGap, Access: trace.Access{Addr: addr, Size: size, Op: op}})
 		t.perfGap = 0
-		if len(t.perfBuf) == cap(t.perfBuf) {
-			t.flushPerf()
-		}
 	}
 }
 
@@ -311,24 +294,6 @@ func (t *Tracer) Sample() SampleSpec { return t.sampler.spec }
 // the stream).  sum(event gaps) + observed events + PendingPerfGap equals
 // total retired instructions at any sampling rate.
 func (t *Tracer) PendingPerfGap() uint64 { return t.perfGap }
-
-// flushPerf drains the staged performance events to the perf sink; errors
-// are sticky and short-circuit further delivery.
-func (t *Tracer) flushPerf() {
-	if len(t.perfBuf) == 0 {
-		return
-	}
-	if t.perfErr != nil {
-		t.PerfDropped += uint64(len(t.perfBuf))
-		t.perfBuf = t.perfBuf[:0]
-		return
-	}
-	t.PerfFlushes++
-	if err := t.cfg.Perf.FlushEvents(t.perfBuf); err != nil {
-		t.perfErr = err
-	}
-	t.perfBuf = t.perfBuf[:0]
-}
 
 // classify maps an address to its segment by the region layout.
 func (t *Tracer) classify(addr uint64) trace.Segment {
@@ -428,47 +393,18 @@ func (t *Tracer) RegistryStats() (lookups, cacheHits, scanned, rebalances uint64
 	return t.reg.Lookups, t.reg.CacheHits, t.reg.Scanned, t.reg.Rebalances
 }
 
-// SetSinkRetry switches the access staging buffer into recoverable mode:
-// failing sink flushes are retried per the policy before tripping sticky.
-// No-op for sinkless tracers.
-func (t *Tracer) SetSinkRetry(p resilience.RetryPolicy) {
-	if t.buf != nil {
-		t.buf.SetRetry(p)
-	}
-}
-
 // SinkDropped returns the accesses dropped after the sink tripped.
-func (t *Tracer) SinkDropped() uint64 {
-	if t.buf == nil {
-		return 0
-	}
-	return t.buf.Dropped()
-}
-
-// SinkRetries returns the sink-flush retries the recoverable mode
-// performed.
-func (t *Tracer) SinkRetries() uint64 {
-	if t.buf == nil {
-		return 0
-	}
-	return t.buf.Retries()
-}
+func (t *Tracer) SinkDropped() uint64 { return t.buf.Dropped() }
 
 // SinkTrips returns 1 once the sink error has tripped sticky, else 0.
-func (t *Tracer) SinkTrips() uint64 {
-	if t.buf == nil {
-		return 0
-	}
-	return t.buf.Trips()
-}
+func (t *Tracer) SinkTrips() uint64 { return t.buf.Trips() }
+
+// PerfDropped returns the performance events dropped after the perf sink
+// tripped.
+func (t *Tracer) PerfDropped() uint64 { return t.perf.Dropped() }
 
 // PerfTrips returns 1 once the perf sink's error has tripped sticky, else 0.
-func (t *Tracer) PerfTrips() uint64 {
-	if t.perfErr == nil {
-		return 0
-	}
-	return 1
-}
+func (t *Tracer) PerfTrips() uint64 { return t.perf.Trips() }
 
 // Close finalizes iteration accounting and flushes the trace and
 // performance-event buffers, returning the first sink error.
@@ -478,15 +414,9 @@ func (t *Tracer) Close() error {
 	}
 	t.closed = true
 	t.finishIterationAccounting()
-	var err error
-	if t.buf != nil {
-		err = t.buf.Close()
-	}
-	if t.cfg.Perf != nil {
-		t.flushPerf()
-		if err == nil {
-			err = t.perfErr
-		}
+	err := t.buf.Close()
+	if perr := t.perf.Close(); err == nil {
+		err = perr
 	}
 	return err
 }

@@ -29,8 +29,7 @@ func (t *Tracer) ExportMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.Gauge("memtrace_instructions", labels...).Set(float64(t.Instructions()))
 	reg.Gauge("memtrace_footprint_bytes", labels...).Set(float64(t.Footprint()))
 	// Staging-buffer health (zero on healthy runs): accesses lost to a
-	// tripped sink plus the recoverable-mode retry/trip counts.
+	// tripped sink and the trip count.
 	reg.Gauge("memtrace_buffer_dropped", labels...).Set(float64(t.SinkDropped()))
-	reg.Gauge("memtrace_buffer_retries", labels...).Set(float64(t.SinkRetries()))
 	reg.Gauge("memtrace_buffer_trips", labels...).Set(float64(t.SinkTrips()))
 }

@@ -366,7 +366,7 @@ func (s *Stack) foldMetrics() {
 		publishStage(cfg.Metrics, "accesses", tr.Sampled-tr.SinkDropped(), tr.SinkTrips(), cfg.BufferSize, cfg.Labels)
 	}
 	if cfg.Perf != nil {
-		publishStage(cfg.Metrics, "perf", tr.Sampled-tr.PerfDropped, tr.PerfTrips(), cfg.BufferSize, cfg.Labels)
+		publishStage(cfg.Metrics, "perf", tr.Sampled-tr.PerfDropped(), tr.PerfTrips(), cfg.BufferSize, cfg.Labels)
 	}
 }
 

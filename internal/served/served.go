@@ -763,20 +763,6 @@ func (j *Job) finishLocked(state string, res experiments.JobResult) {
 	j.cond.Broadcast()
 }
 
-// Events returns the progress events buffered after offset from (the
-// stream position of a follower) and whether the job is terminal.
-func (j *Job) Events(from int) ([]runner.EventRecord, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if from < 0 {
-		from = 0
-	}
-	if from > len(j.events) {
-		from = len(j.events)
-	}
-	return append([]runner.EventRecord(nil), j.events[from:]...), terminal(j.state)
-}
-
 // Next blocks until the job has events past from, turns terminal, or ctx
 // expires; it returns the new events and the terminal flag.  A follower
 // streams the job by calling Next in a loop until done is true and the

@@ -13,11 +13,7 @@
 // and reduces interference with the traced program's own data cache.
 package trace
 
-import (
-	"fmt"
-
-	"nvscavenger/internal/resilience"
-)
+import "fmt"
 
 // Op is the kind of a memory operation.
 type Op uint8
@@ -151,177 +147,102 @@ type PerfSinkFunc func(batch []PerfEvent) error
 // FlushEvents calls f(batch).
 func (f PerfSinkFunc) FlushEvents(batch []PerfEvent) error { return f(batch) }
 
-// DefaultBufferSize is the number of accesses staged before the buffer is
+// DefaultBufferSize is the number of events staged before the buffer is
 // handed to the sink.  Large enough to amortize the call, small enough to
 // stay cache-resident.
 const DefaultBufferSize = 1 << 14
 
-// Buffer stages accesses and flushes them to a Sink in batches (§III-D).
-type Buffer struct {
-	sink    Sink
-	buf     []Access
-	n       int
-	err     error
-	dropped uint64
-	retry   resilience.RetryPolicy
-	retries uint64
-	trips   uint64
-	// Flushes counts how many times the staging buffer was drained; used by
-	// the instrumentation-overhead benchmarks.
-	Flushes uint64
-}
-
-// NewBuffer returns a Buffer of the given capacity flushing into sink.
-// A non-positive size selects DefaultBufferSize.
-func NewBuffer(sink Sink, size int) *Buffer {
-	if size <= 0 {
-		size = DefaultBufferSize
-	}
-	return &Buffer{sink: sink, buf: make([]Access, size)}
-}
-
-// Add stages one access, flushing if the buffer fills.  Errors from the sink
-// are sticky and reported by Close; once a sink has failed it is never
-// invoked again — subsequent batches are dropped and counted in Dropped.
-func (b *Buffer) Add(a Access) {
-	b.buf[b.n] = a
-	b.n++
-	if b.n == len(b.buf) {
-		b.flush()
-	}
-}
-
-// Err returns the first error reported by the sink, if any.
-func (b *Buffer) Err() error { return b.err }
-
-// Dropped returns the number of accesses discarded after the sink's first
-// error (a failed sink is never called again).
-func (b *Buffer) Dropped() uint64 { return b.dropped }
-
-// SetRetry switches the buffer into recoverable mode: a failing flush is
-// retried per the policy before the error trips sticky.  The zero policy
-// (one attempt) is the historical fail-fast behaviour.
-func (b *Buffer) SetRetry(p resilience.RetryPolicy) { b.retry = p }
-
-// Retries returns how many flush retries the recoverable mode performed.
-func (b *Buffer) Retries() uint64 { return b.retries }
-
-// Trips returns 1 once the sink error has tripped sticky, else 0.  Kept a
-// counter so the obs export reads the same for buffers and breakers.
-func (b *Buffer) Trips() uint64 { return b.trips }
-
-func (b *Buffer) flush() {
-	if b.n == 0 {
-		return
-	}
-	if b.err != nil {
-		b.dropped += uint64(b.n)
-		b.n = 0
-		return
-	}
-	b.Flushes++
-	r, err := b.retry.Do(func() error { return b.sink.Flush(b.buf[:b.n]) })
-	b.retries += uint64(r)
-	if err != nil {
-		b.err = err
-		b.trips++
-	}
-	b.n = 0
-}
-
-// Close drains any staged accesses and returns the first sink error.
-func (b *Buffer) Close() error {
-	b.flush()
-	return b.err
-}
-
-// DefaultTxBufferSize is the number of transactions staged before a
-// TxBuffer flushes.  The post-cache stream is one to three orders of
-// magnitude thinner than the access stream, so the batch is smaller.
+// DefaultTxBufferSize is the number of transactions the cache hierarchy
+// stages before it flushes.  The post-cache stream is one to three orders
+// of magnitude thinner than the access stream, so the batch is smaller.
 const DefaultTxBufferSize = 1 << 12
 
-// TxBuffer stages main-memory transactions and flushes them to a TxSink in
-// batches — the post-cache mirror of Buffer.  The cache hierarchy stages its
-// line fills and writebacks here instead of invoking its sink per
-// transaction.
-type TxBuffer struct {
-	sink    TxSink
-	buf     []Transaction
-	n       int
+// Buffer stages events and hands them to a sink in batches (§III-D).  One
+// Buffer sits at every hop of the memory-event dataflow: accesses into the
+// cache hierarchy (a Sink's Flush), transactions out of it (a TxSink's
+// FlushTx) and performance events into the CPU model (a PerfSink's
+// FlushEvents).
+//
+// Errors from the sink are sticky: once a sink has failed it is never
+// invoked again, and every event staged after the failing batch is dropped
+// and counted in Dropped.  Err, Dropped, Trips and Close are safe on a nil
+// Buffer, which reads as a healthy empty one.
+type Buffer[E any] struct {
+	sink    func([]E) error
+	buf     []E
 	err     error
 	dropped uint64
-	retry   resilience.RetryPolicy
-	retries uint64
-	trips   uint64
 	// Flushes counts how many times the staging buffer was drained.
 	Flushes uint64
 }
 
-// NewTxBuffer returns a TxBuffer of the given capacity flushing into sink.
-// A non-positive size selects DefaultTxBufferSize.
-func NewTxBuffer(sink TxSink, size int) *TxBuffer {
+// NewBuffer returns a Buffer of the given capacity flushing into sink,
+// typically a method value such as s.Flush.  A non-positive size selects
+// DefaultBufferSize.
+func NewBuffer[E any](sink func([]E) error, size int) *Buffer[E] {
 	if size <= 0 {
-		size = DefaultTxBufferSize
+		size = DefaultBufferSize
 	}
-	return &TxBuffer{sink: sink, buf: make([]Transaction, size)}
+	return &Buffer[E]{sink: sink, buf: make([]E, 0, size)}
 }
 
-// Add stages one transaction, flushing if the buffer fills.  Errors from
-// the sink are sticky and reported by Close; once a sink has failed it is
-// never invoked again — subsequent batches are dropped and counted.
-func (b *TxBuffer) Add(t Transaction) {
-	b.buf[b.n] = t
-	b.n++
-	if b.n == len(b.buf) {
+// Add stages one event, flushing if the buffer fills.  It is written as an
+// append rather than an indexed store because that form stays within the
+// inliner's budget, so the per-reference cost at the hot call sites is an
+// append and a compare.
+func (b *Buffer[E]) Add(e E) {
+	b.buf = append(b.buf, e)
+	if len(b.buf) == cap(b.buf) {
 		b.flush()
 	}
 }
 
 // Err returns the first error reported by the sink, if any.
-func (b *TxBuffer) Err() error { return b.err }
-
-// Dropped returns the number of transactions discarded after the sink's
-// first error.
-func (b *TxBuffer) Dropped() uint64 { return b.dropped }
-
-// SetRetry switches the buffer into recoverable mode: a failing flush is
-// retried per the policy before the error trips sticky.
-func (b *TxBuffer) SetRetry(p resilience.RetryPolicy) { b.retry = p }
-
-// Retries returns how many flush retries the recoverable mode performed.
-func (b *TxBuffer) Retries() uint64 { return b.retries }
-
-// Trips returns 1 once the sink error has tripped sticky, else 0.
-func (b *TxBuffer) Trips() uint64 { return b.trips }
-
-func (b *TxBuffer) flush() {
-	if b.n == 0 {
-		return
+func (b *Buffer[E]) Err() error {
+	if b == nil {
+		return nil
 	}
-	if b.err != nil {
-		b.dropped += uint64(b.n)
-		b.n = 0
-		return
-	}
-	b.Flushes++
-	r, err := b.retry.Do(func() error { return b.sink.FlushTx(b.buf[:b.n]) })
-	b.retries += uint64(r)
-	if err != nil {
-		b.err = err
-		b.trips++
-	}
-	b.n = 0
-}
-
-// Flush drains any staged transactions to the sink without closing the
-// buffer; the hierarchy calls it after its end-of-run Drain.
-func (b *TxBuffer) Flush() error {
-	b.flush()
 	return b.err
 }
 
-// Close drains any staged transactions and returns the first sink error.
-func (b *TxBuffer) Close() error {
+// Dropped returns the number of events discarded after the sink's first
+// error.  The failing batch itself is not counted.
+func (b *Buffer[E]) Dropped() uint64 {
+	if b == nil {
+		return 0
+	}
+	return b.dropped
+}
+
+// Trips returns 1 once the sink error has tripped sticky, else 0.  It is a
+// counter so the obs export reads the same for buffers and breakers.
+func (b *Buffer[E]) Trips() uint64 {
+	if b == nil || b.err == nil {
+		return 0
+	}
+	return 1
+}
+
+func (b *Buffer[E]) flush() {
+	if len(b.buf) == 0 {
+		return
+	}
+	if b.err != nil {
+		b.dropped += uint64(len(b.buf))
+		b.buf = b.buf[:0]
+		return
+	}
+	b.Flushes++
+	b.err = b.sink(b.buf)
+	b.buf = b.buf[:0]
+}
+
+// Close drains any staged events and returns the first sink error.  The
+// buffer stays usable, so a mid-run Close is a plain flush.
+func (b *Buffer[E]) Close() error {
+	if b == nil {
+		return nil
+	}
 	b.flush()
 	return b.err
 }

@@ -42,18 +42,62 @@ func TestAccessHelpers(t *testing.T) {
 	}
 }
 
-func TestBufferFlushesInBatches(t *testing.T) {
-	var got []Access
-	sink := SinkFunc(func(batch []Access) error {
+// contract pins the staging-buffer contract for one event type; mk builds
+// the i-th event, distinct for every i.
+type contract[E comparable] struct {
+	mk func(i int) E
+}
+
+// bufferContract is contract at any event type, so one table can hold all
+// of them.
+type bufferContract interface {
+	batches(t *testing.T)
+	closeEmpty(t *testing.T)
+	defaultSize(t *testing.T)
+	sticky(t *testing.T)
+	nilSafe(t *testing.T)
+}
+
+// bufferCases lists every event type the dataflow stages.
+var bufferCases = []struct {
+	name string
+	c    bufferContract
+}{
+	{"access", contract[Access]{func(i int) Access {
+		return Access{Addr: uint64(i), Size: 8, Op: Op(i % 2)}
+	}}},
+	{"transaction", contract[Transaction]{func(i int) Transaction {
+		return Transaction{Addr: uint64(i) * 64, Write: i%2 == 0, Cycle: uint64(i)}
+	}}},
+	{"perf", contract[PerfEvent]{func(i int) PerfEvent {
+		return PerfEvent{Gap: uint64(i), Access: Access{Addr: uint64(i), Size: 4}}
+	}}},
+}
+
+// forEachEventType runs check once per event type as a subtest.
+func forEachEventType(t *testing.T, check func(bufferContract, *testing.T)) {
+	for _, tc := range bufferCases {
+		t.Run(tc.name, func(t *testing.T) { check(tc.c, t) })
+	}
+}
+
+func TestBufferFlushesInBatches(t *testing.T) { forEachEventType(t, bufferContract.batches) }
+func TestBufferCloseEmpty(t *testing.T)       { forEachEventType(t, bufferContract.closeEmpty) }
+func TestBufferDefaultSize(t *testing.T)      { forEachEventType(t, bufferContract.defaultSize) }
+func TestBufferStickyError(t *testing.T)      { forEachEventType(t, bufferContract.sticky) }
+func TestBufferNilIsHealthy(t *testing.T)     { forEachEventType(t, bufferContract.nilSafe) }
+
+func (c contract[E]) batches(t *testing.T) {
+	var got []E
+	b := NewBuffer(func(batch []E) error {
 		got = append(got, batch...)
 		return nil
-	})
-	b := NewBuffer(sink, 4)
+	}, 4)
 	for i := 0; i < 10; i++ {
-		b.Add(Access{Addr: uint64(i), Size: 8, Op: Read})
+		b.Add(c.mk(i))
 	}
 	if len(got) != 8 {
-		t.Fatalf("before close: delivered %d accesses, want 8 (two full batches)", len(got))
+		t.Fatalf("before close: delivered %d events, want 8 (two full batches)", len(got))
 	}
 	if b.Flushes != 2 {
 		t.Fatalf("Flushes = %d, want 2", b.Flushes)
@@ -61,55 +105,75 @@ func TestBufferFlushesInBatches(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 10 {
-		t.Fatalf("after close: delivered %d accesses, want 10", len(got))
+	if len(got) != 10 || b.Flushes != 3 {
+		t.Fatalf("after close: delivered %d events in %d flushes, want 10 in 3", len(got), b.Flushes)
 	}
-	for i, a := range got {
-		if a.Addr != uint64(i) {
-			t.Fatalf("access %d has addr %d; order not preserved", i, a.Addr)
+	for i, e := range got {
+		if e != c.mk(i) {
+			t.Fatalf("event %d = %+v, want %+v; order not preserved", i, e, c.mk(i))
 		}
 	}
 }
 
-func TestBufferDefaultSize(t *testing.T) {
-	b := NewBuffer(&Stats{}, 0)
-	if len(b.buf) != DefaultBufferSize {
-		t.Fatalf("default buffer size = %d, want %d", len(b.buf), DefaultBufferSize)
+func (c contract[E]) closeEmpty(t *testing.T) {
+	calls := 0
+	b := NewBuffer(func([]E) error { calls++; return nil }, 8)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 0 || b.Flushes != 0 {
+		t.Fatalf("empty buffer flushed: %d sink calls, Flushes = %d", calls, b.Flushes)
 	}
 }
 
-func TestBufferStickyError(t *testing.T) {
+func (c contract[E]) defaultSize(t *testing.T) {
+	b := NewBuffer(func([]E) error { return nil }, 0)
+	if cap(b.buf) != DefaultBufferSize {
+		t.Fatalf("default buffer size = %d, want %d", cap(b.buf), DefaultBufferSize)
+	}
+}
+
+func (c contract[E]) sticky(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
-	sink := SinkFunc(func([]Access) error {
-		calls++
-		return boom
-	})
-	b := NewBuffer(sink, 1)
-	b.Add(Access{})
-	b.Add(Access{})
-	b.Add(Access{})
+	b := NewBuffer(func([]E) error { calls++; return boom }, 1)
+	for i := 0; i < 3; i++ {
+		b.Add(c.mk(i))
+	}
 	if b.Err() != boom {
-		t.Fatal("expected sticky error")
+		t.Fatalf("Err = %v, want boom", b.Err())
 	}
 	if err := b.Close(); err != boom {
 		t.Fatalf("Close error = %v, want boom", err)
 	}
 	if calls != 1 {
-		t.Fatalf("sink called %d times, want 1 (a failed sink must not be retried)", calls)
+		t.Fatalf("sink called %d times, want 1 (a failed sink must never be called again)", calls)
 	}
 	if b.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", b.Dropped())
+		t.Fatalf("Dropped = %d, want 2 (the failing batch is not counted)", b.Dropped())
+	}
+	if b.Trips() != 1 {
+		t.Fatalf("Trips = %d, want 1", b.Trips())
 	}
 }
 
+func (c contract[E]) nilSafe(t *testing.T) {
+	var b *Buffer[E]
+	if b.Err() != nil || b.Close() != nil || b.Dropped() != 0 || b.Trips() != 0 {
+		t.Fatal("a nil buffer must read as a healthy empty one")
+	}
+}
+
+// The TxBuffer tests pin the transaction stage as the cache hierarchy
+// wires it: a Buffer[Transaction] draining into a TxSink's FlushTx.
+
 func TestTxBufferFlushesInBatches(t *testing.T) {
 	var got []Transaction
-	sink := TxSinkFunc(func(batch []Transaction) error {
+	var sink TxSink = TxSinkFunc(func(batch []Transaction) error {
 		got = append(got, batch...)
 		return nil
 	})
-	b := NewTxBuffer(sink, 4)
+	b := NewBuffer(sink.FlushTx, 4)
 	for i := 0; i < 10; i++ {
 		b.Add(Transaction{Addr: uint64(i), Write: i%2 == 0, Cycle: uint64(i)})
 	}
@@ -119,14 +183,11 @@ func TestTxBufferFlushesInBatches(t *testing.T) {
 	if b.Flushes != 2 {
 		t.Fatalf("Flushes = %d, want 2", b.Flushes)
 	}
-	if err := b.Flush(); err != nil {
+	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 10 {
-		t.Fatalf("after Flush: delivered %d transactions, want 10", len(got))
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("after Close: delivered %d transactions, want 10", len(got))
 	}
 	for i, tx := range got {
 		if tx.Addr != uint64(i) || tx.Cycle != uint64(i) {
@@ -136,20 +197,25 @@ func TestTxBufferFlushesInBatches(t *testing.T) {
 }
 
 func TestTxBufferDefaultSize(t *testing.T) {
-	b := NewTxBuffer(TxSinkFunc(func([]Transaction) error { return nil }), 0)
-	if len(b.buf) != DefaultTxBufferSize {
-		t.Fatalf("default tx buffer size = %d, want %d", len(b.buf), DefaultTxBufferSize)
+	var sink TxSink = TxSinkFunc(func([]Transaction) error { return nil })
+	b := NewBuffer(sink.FlushTx, DefaultTxBufferSize)
+	if cap(b.buf) != DefaultTxBufferSize {
+		t.Fatalf("tx buffer size = %d, want %d", cap(b.buf), DefaultTxBufferSize)
+	}
+	if DefaultTxBufferSize >= DefaultBufferSize {
+		t.Fatalf("DefaultTxBufferSize = %d, want below the access batch %d (the post-cache stream is thinner)",
+			DefaultTxBufferSize, DefaultBufferSize)
 	}
 }
 
 func TestTxBufferStickyError(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
-	sink := TxSinkFunc(func([]Transaction) error {
+	var sink TxSink = TxSinkFunc(func([]Transaction) error {
 		calls++
 		return boom
 	})
-	b := NewTxBuffer(sink, 1)
+	b := NewBuffer(sink.FlushTx, 1)
 	b.Add(Transaction{})
 	b.Add(Transaction{})
 	b.Add(Transaction{})
@@ -165,16 +231,8 @@ func TestTxBufferStickyError(t *testing.T) {
 	if b.Dropped() != 2 {
 		t.Fatalf("Dropped = %d, want 2", b.Dropped())
 	}
-}
-
-func TestBufferCloseEmpty(t *testing.T) {
-	calls := 0
-	b := NewBuffer(SinkFunc(func([]Access) error { calls++; return nil }), 8)
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 0 {
-		t.Fatal("empty buffer should not flush")
+	if b.Trips() != 1 {
+		t.Fatalf("Trips = %d, want 1", b.Trips())
 	}
 }
 
@@ -211,7 +269,7 @@ func TestStatsReadOnlyRatio(t *testing.T) {
 
 func TestStatsAsSink(t *testing.T) {
 	var s Stats
-	b := NewBuffer(&s, 3)
+	b := NewBuffer(s.Flush, 3)
 	for i := 0; i < 7; i++ {
 		op := Read
 		if i%2 == 1 {
