@@ -89,6 +89,21 @@ chaos:
 	$(GO) test -race -count=2 ./internal/faults ./internal/resilience
 	$(GO) run ./cmd/nvreport -scale 0.05 -iterations 3 -only table1,table5 \
 		-fault sink:every=3,seed=7 -progress=false >/dev/null
+	@# Seeded degraded reports must not depend on scheduling: each spec's
+	@# report at -jobs 1 and -jobs 4 is byte-identical apart from line 2
+	@# (the generation timestamp).
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/nvreport" ./cmd/nvreport; \
+	for spec in "fig12 perf:every=5,seed=7" "sampling,profilererror worker:prob=0.5,seed=9"; do \
+		set -- $$spec; \
+		for j in 1 4; do \
+			"$$d/nvreport" -scale 0.05 -iterations 3 -progress=false -jobs $$j \
+				-only $$1 -fault $$2 > "$$d/raw$$j.txt"; \
+			sed 2d "$$d/raw$$j.txt" > "$$d/j$$j.txt"; \
+		done; \
+		cmp "$$d/j1.txt" "$$d/j4.txt" || { echo "chaos: -only $$1 -fault $$2 differs between -jobs 1 and -jobs 4"; exit 1; }; \
+		echo "chaos: -only $$1 -fault $$2 identical at -jobs 1 and -jobs 4"; \
+	done
 
 report:
 	$(GO) run ./cmd/nvreport

@@ -1,9 +1,10 @@
 // Command nvperf is the performance-sensitivity simulator front end
 // (paper §V / Figure 12).
 //
-// It re-executes a mini-application against the trace-driven out-of-order
-// core model once per memory technology, varying only the main-memory
-// access latency (Table IV), and reports the normalized runtimes.
+// It executes a mini-application once and feeds its reference stream to one
+// trace-driven out-of-order core model per memory technology, varying only
+// the main-memory access latency (Table IV), and reports the normalized
+// runtimes.
 //
 // Usage:
 //
@@ -56,33 +57,34 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("no latencies given")
 	}
 
+	// One execution feeds every latency: the sweep is a batched
+	// trace.PerfSink that hands each flushed batch to one core per latency.
+	sweep, err := cpusim.NewSweep(strings.Split(*latList, ","), lats)
+	if err != nil {
+		return err
+	}
+	reg := obs.NewRegistry()
+	app := obs.L("app", *appName)
+	stack, _, err := pipeline.Run(context.Background(), pipeline.Config{Perf: sweep, Metrics: reg, Labels: []obs.Label{app}},
+		*appName, *scale, *iters)
+	if err != nil {
+		return err
+	}
+	stack.Tracer.ExportMetrics(reg, app)
+
 	fmt.Fprintf(out, "%s latency sweep (%d iteration(s), scale %.2f)\n", *appName, *iters, *scale)
 	fmt.Fprintf(out, "%12s %14s %10s %8s %14s %14s\n",
 		"latency (ns)", "cycles", "normalized", "IPC", "mem accesses", "prefetch hits")
-	reg := obs.NewRegistry()
-	var base float64
-	for _, lat := range lats {
-		c := cpusim.MustNew(cpusim.PaperConfig(lat))
-		ls := []obs.Label{obs.L("app", *appName), obs.L("latency_ns", strconv.FormatFloat(lat, 'g', -1, 64))}
-		// The core is a batched trace.PerfSink: the tracer stages events and
-		// flushes references plus instruction gaps in one call per batch.
-		stack, _, err := pipeline.Run(context.Background(), pipeline.Config{Perf: c, Metrics: reg, Labels: ls},
-			*appName, *scale, *iters)
-		if err != nil {
-			return err
-		}
-		st := c.Stats()
-		if base == 0 {
-			base = st.Cycles
-		}
+	for i, res := range sweep.Results() {
+		st := sweep.Cores()[i].Stats()
+		ls := []obs.Label{app, obs.L("latency_ns", strconv.FormatFloat(res.MemLatencyNS, 'g', -1, 64))}
 		reg.Gauge("cpusim_cycles", ls...).Set(st.Cycles)
-		reg.Gauge("cpusim_normalized_runtime", ls...).Set(st.Cycles / base)
+		reg.Gauge("cpusim_normalized_runtime", ls...).Set(res.Normalized)
 		reg.Gauge("cpusim_ipc", ls...).Set(st.IPC)
 		reg.Gauge("cpusim_mem_accesses", ls...).Set(float64(st.MemAccesses))
 		reg.Gauge("cpusim_prefetch_hits", ls...).Set(float64(st.PrefetchHits))
-		stack.Tracer.ExportMetrics(reg, ls...)
 		fmt.Fprintf(out, "%12.0f %14.0f %10.3f %8.2f %14d %14d\n",
-			lat, st.Cycles, st.Cycles/base, st.IPC, st.MemAccesses, st.PrefetchHits)
+			res.MemLatencyNS, st.Cycles, res.Normalized, st.IPC, st.MemAccesses, st.PrefetchHits)
 	}
 	if *metricsOut != "" {
 		if err := cli.WriteMetricsFile(*metricsOut, reg.Snapshot()); err != nil {

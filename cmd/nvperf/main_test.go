@@ -33,4 +33,15 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-app", "nonesuch"}, &out); err == nil {
 		t.Error("unknown app must error")
 	}
+	// Out-of-range latencies are cpusim validation errors, returned before
+	// the app runs rather than panicking mid-sweep.
+	for _, lats := range []string{"10,0", "10,-5", "10,NaN,Inf", "Inf"} {
+		out.Reset()
+		if err := run([]string{"-app", "gtc", "-scale", "0.05", "-latencies", lats}, &out); err == nil {
+			t.Errorf("-latencies %s must error", lats)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-latencies %s printed rows before failing:\n%s", lats, out.String())
+		}
+	}
 }

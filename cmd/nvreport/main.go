@@ -76,7 +76,6 @@ func run(args []string, out io.Writer) error {
 	outdir := fs.String("outdir", "", "also write each exhibit to <outdir>/<name>.txt")
 	metricsOut := fs.String("metrics", "", "write the run's observability snapshot to this file (.json for JSON, text otherwise)")
 	faultSpec := fs.String("fault", "", "chaos run: deterministic fault spec, e.g. sink:every=50,seed=7 or worker:prob=0.3,seed=9 (degrades gracefully)")
-	retries := fs.Int("retries", 0, "re-execute a failed instrumented run up to this many attempts")
 	sampleSpec := fs.String("sample", "", "seeded sampled tracing for every instrumented run, e.g. bernoulli:rate=64,seed=7 or bytes:rate=4096 (default: observe every reference)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -105,9 +104,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		sessOpts = append(sessOpts, experiments.WithFaults(spec))
-	}
-	if *retries > 1 {
-		sessOpts = append(sessOpts, experiments.WithRetry(*retries))
 	}
 	if *sampleSpec != "" {
 		spec, err := memtrace.ParseSampleSpec(*sampleSpec)

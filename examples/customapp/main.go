@@ -128,23 +128,21 @@ func main() {
 			adv.Object.Name, float64(m.SizeBytes)/1024, m.ReadWriteRatio, adv.Target, adv.Reason)
 	}
 
-	// 2. Latency sensitivity of the same code.
+	// 2. Latency sensitivity of the same code: one run feeds a core per
+	// latency through the sweep's batched performance-event sink.
 	fmt.Println("\nmemory latency sensitivity:")
-	var base float64
-	for _, lat := range []float64{10, 12, 20, 100} {
-		// The core consumes the batched performance-event stream directly.
-		c := cpusim.MustNew(cpusim.PaperConfig(lat))
-		run := &cgApp{n: n}
-		perfStack := pipeline.MustBuild(pipeline.Config{Perf: c})
-		if err := apps.Run(run, perfStack.Tracer, 2); err != nil {
-			log.Fatal(err)
-		}
-		if err := perfStack.Close(); err != nil {
-			log.Fatal(err)
-		}
-		if base == 0 {
-			base = c.Cycles()
-		}
-		fmt.Printf("  %5.0f ns -> %12.0f cycles (%.3fx)\n", lat, c.Cycles(), c.Cycles()/base)
+	sweep, err := cpusim.NewSweep([]string{"DRAM", "MRAM", "STTRAM", "PCRAM"}, []float64{10, 12, 20, 100})
+	if err != nil {
+		log.Fatal(err)
+	}
+	perfStack := pipeline.MustBuild(pipeline.Config{Perf: sweep})
+	if err := apps.Run(&cgApp{n: n}, perfStack.Tracer, 2); err != nil {
+		log.Fatal(err)
+	}
+	if err := perfStack.Close(); err != nil {
+		log.Fatal(err)
+	}
+	for _, r := range sweep.Results() {
+		fmt.Printf("  %5.0f ns -> %12.0f cycles (%.3fx)\n", r.MemLatencyNS, r.Cycles, r.Normalized)
 	}
 }

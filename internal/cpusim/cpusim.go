@@ -22,6 +22,7 @@ package cpusim
 
 import (
 	"fmt"
+	"math"
 
 	"nvscavenger/internal/cachesim"
 	"nvscavenger/internal/trace"
@@ -78,8 +79,8 @@ func PaperConfig(memLatencyNS float64) Config {
 }
 
 func (c Config) validate() error {
-	if c.FreqGHz <= 0 {
-		return fmt.Errorf("cpusim: non-positive frequency %v", c.FreqGHz)
+	if !(c.FreqGHz > 0) || math.IsInf(c.FreqGHz, 0) {
+		return fmt.Errorf("cpusim: frequency %v GHz is not a positive finite number", c.FreqGHz)
 	}
 	if c.IssueWidth <= 0 || c.ROB <= 0 || c.MissBuffer <= 0 {
 		return fmt.Errorf("cpusim: non-positive core resources %+v", c)
@@ -87,8 +88,8 @@ func (c Config) validate() error {
 	if c.L1HitCycles <= 0 || c.L2HitCycles < c.L1HitCycles {
 		return fmt.Errorf("cpusim: implausible hit latencies %+v", c)
 	}
-	if c.MemLatencyNS <= 0 {
-		return fmt.Errorf("cpusim: non-positive memory latency")
+	if !(c.MemLatencyNS > 0) || math.IsInf(c.MemLatencyNS, 0) {
+		return fmt.Errorf("cpusim: memory latency %v is not a positive finite number", c.MemLatencyNS)
 	}
 	return nil
 }
@@ -365,23 +366,52 @@ type SweepResult struct {
 	Normalized float64
 }
 
-// Sweep runs the same event stream against each memory latency and returns
-// the runtimes normalized to the first entry (Figure 12's presentation).
-// replay must re-generate the identical event stream into the supplied sink
-// on every call.
-func Sweep(devices []string, latenciesNS []float64, replay func(sink trace.PerfSink)) ([]SweepResult, error) {
+// Sweep evaluates one event stream against several memory latencies at
+// once (Figure 12's presentation): it owns one Core per latency and, as a
+// trace.PerfSink, hands every batch to each of them, so a single execution
+// of the app drives the whole sweep.
+type Sweep struct {
+	devices []string
+	cores   []*Core
+}
+
+// NewSweep builds one paper-configured Core per latency; devices names the
+// sweep points and must match latenciesNS in length.
+func NewSweep(devices []string, latenciesNS []float64) (*Sweep, error) {
 	if len(devices) != len(latenciesNS) {
 		return nil, fmt.Errorf("cpusim: %d devices but %d latencies", len(devices), len(latenciesNS))
 	}
-	out := make([]SweepResult, 0, len(latenciesNS))
-	var base float64
+	s := &Sweep{devices: devices, cores: make([]*Core, len(latenciesNS))}
 	for i, lat := range latenciesNS {
-		core, err := New(PaperConfig(lat))
+		c, err := New(PaperConfig(lat))
 		if err != nil {
 			return nil, err
 		}
-		replay(core)
-		cy := core.Cycles()
+		s.cores[i] = c
+	}
+	return s, nil
+}
+
+// FlushEvents implements trace.PerfSink: every core consumes the batch.
+// Cores read the batch and do not retain it, so one buffer serves them all.
+func (s *Sweep) FlushEvents(batch []trace.PerfEvent) error {
+	for _, c := range s.cores {
+		if err := c.FlushEvents(batch); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Cores returns the per-latency cores in sweep order.
+func (s *Sweep) Cores() []*Core { return s.cores }
+
+// Results returns the runtimes normalized to the first sweep point.
+func (s *Sweep) Results() []SweepResult {
+	out := make([]SweepResult, len(s.cores))
+	var base float64
+	for i, c := range s.cores {
+		cy := c.Cycles()
 		if i == 0 {
 			base = cy
 		}
@@ -389,7 +419,7 @@ func Sweep(devices []string, latenciesNS []float64, replay func(sink trace.PerfS
 		if base > 0 {
 			norm = cy / base
 		}
-		out = append(out, SweepResult{Device: devices[i], MemLatencyNS: lat, Cycles: cy, Normalized: norm})
+		out[i] = SweepResult{Device: s.devices[i], MemLatencyNS: c.cfg.MemLatencyNS, Cycles: cy, Normalized: norm}
 	}
-	return out, nil
+	return out
 }

@@ -21,6 +21,11 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.L1HitCycles = 0 },
 		func(c *Config) { c.L2HitCycles = 0 }, // below L1
 		func(c *Config) { c.MemLatencyNS = 0 },
+		func(c *Config) { c.MemLatencyNS = -1 },
+		func(c *Config) { c.MemLatencyNS = math.NaN() },
+		func(c *Config) { c.MemLatencyNS = math.Inf(1) },
+		func(c *Config) { c.FreqGHz = math.NaN() },
+		func(c *Config) { c.FreqGHz = math.Inf(1) },
 	}
 	for i, mutate := range cases {
 		cfg := PaperConfig(10)
@@ -28,6 +33,11 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: bad config accepted", i)
 		}
+	}
+	// A sweep builds its cores through New, so a bad latency fails the
+	// constructor instead of a core mid-sweep.
+	if _, err := NewSweep([]string{"a", "b"}, []float64{10, math.NaN()}); err == nil {
+		t.Error("sweep with a NaN latency accepted")
 	}
 	defer func() {
 		if recover() == nil {
@@ -189,30 +199,38 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestSweepNormalization(t *testing.T) {
-	replay := func(sink trace.PerfSink) {
-		batch := make([]trace.PerfEvent, 0, 1024)
-		for i := 0; i < 5000; i++ {
-			batch = append(batch, trace.PerfEvent{Gap: 5, Access: trace.Access{Addr: uint64(i%65536) * 64, Size: 8, Op: trace.Read}})
-			if len(batch) == cap(batch) {
-				if err := sink.FlushEvents(batch); err != nil {
-					panic(err)
-				}
-				batch = batch[:0]
-			}
+// sweepStream is a miss-heavy event stream in uneven batches.
+func sweepStream() [][]trace.PerfEvent {
+	var batches [][]trace.PerfEvent
+	batch := make([]trace.PerfEvent, 0, 1024)
+	for i := 0; i < 5000; i++ {
+		op := trace.Read
+		if i%7 == 0 {
+			op = trace.Write
 		}
-		if err := sink.FlushEvents(batch); err != nil {
-			panic(err)
+		batch = append(batch, trace.PerfEvent{Gap: uint64(i % 6), Access: trace.Access{Addr: uint64(i*7919%65536) * 64, Size: 8, Op: op}})
+		if len(batch) == cap(batch) {
+			batches = append(batches, batch)
+			batch = make([]trace.PerfEvent, 0, 1024)
 		}
 	}
-	res, err := Sweep(
+	return append(batches, batch)
+}
+
+func TestSweepNormalization(t *testing.T) {
+	sweep, err := NewSweep(
 		[]string{"DRAM", "MRAM", "STTRAM", "PCRAM"},
 		[]float64{10, 12, 20, 100},
-		replay,
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, batch := range sweepStream() {
+		if err := sweep.FlushEvents(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := sweep.Results()
 	if len(res) != 4 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -229,9 +247,40 @@ func TestSweepNormalization(t *testing.T) {
 	}
 }
 
+// TestSweepMatchesIndependentCores: feeding one captured stream to a sweep
+// gives every latency exactly the state an independent core fed the same
+// stream reaches — the single-execution sweep loses nothing.
+func TestSweepMatchesIndependentCores(t *testing.T) {
+	lats := []float64{10, 12, 20, 100}
+	sweep, err := NewSweep([]string{"a", "b", "c", "d"}, lats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := sweepStream()
+	for _, batch := range stream {
+		if err := sweep.FlushEvents(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := sweep.Results()
+	for i, lat := range lats {
+		core := MustNew(PaperConfig(lat))
+		for _, batch := range stream {
+			if err := core.FlushEvents(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := sweep.Cores()[i].Stats(), core.Stats(); got != want {
+			t.Errorf("latency %v: sweep core %+v, independent core %+v", lat, got, want)
+		}
+		if res[i].Cycles != core.Cycles() || res[i].MemLatencyNS != lat {
+			t.Errorf("latency %v: result %+v, independent cycles %v", lat, res[i], core.Cycles())
+		}
+	}
+}
+
 func TestSweepLengthMismatch(t *testing.T) {
-	_, err := Sweep([]string{"a"}, []float64{1, 2}, func(trace.PerfSink) {})
-	if err == nil {
+	if _, err := NewSweep([]string{"a"}, []float64{1, 2}); err == nil {
 		t.Fatal("mismatched sweep inputs must error")
 	}
 }

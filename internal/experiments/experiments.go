@@ -92,7 +92,6 @@ func NewSession(opts ...Option) *Session {
 	s.eng = runner.New(runner.Config{
 		Jobs:    cfg.jobs,
 		Metrics: cfg.metrics,
-		Retry:   cfg.retry,
 		Cache:   cfg.cache,
 		Progress: func(ev runner.Event) {
 			if ev.Kind == runner.EventError {
@@ -236,17 +235,17 @@ func (s *Session) key(app, mode, profile string) runner.Key {
 	}
 }
 
-// collectApps fans per-app work out across the engine's worker pool and
-// returns the results in input order, so any report built from them is
-// byte-identical to a sequential run.  In degraded mode a failed app does
-// not abort its siblings: its row is dropped from the result (the failure
-// is annotated via RunErrors) and only the parent context's cancellation
-// still aborts.
-func collectApps[T any](s *Session, names []string, f func(ctx context.Context, name string) (T, error)) ([]T, error) {
+// collect fans per-item work (apps, sampling periods, profiler specs) out
+// across the engine's worker pool and returns the results in input order,
+// so any report built from them is byte-identical to a sequential run.  In
+// degraded mode a failed item does not abort its siblings: its row is
+// dropped from the result (the failure is annotated via RunErrors) and
+// only the parent context's cancellation still aborts.
+func collect[K, T any](s *Session, items []K, f func(ctx context.Context, item K) (T, error)) ([]T, error) {
 	if !s.cfg.degrade {
-		return runner.Collect(s.ctx(), names, f)
+		return runner.Collect(s.ctx(), items, f)
 	}
-	res, errs := runner.CollectPartial(s.ctx(), names, f)
+	res, errs := runner.CollectPartial(s.ctx(), items, f)
 	out := make([]T, 0, len(res))
 	for i, err := range errs {
 		if err != nil {
@@ -381,7 +380,7 @@ type Table1Row struct {
 
 // Table1 reproduces Table I.  The app runs fan out in parallel.
 func (s *Session) Table1() ([]Table1Row, error) {
-	return collectApps(s, s.appNames(), func(ctx context.Context, name string) (Table1Row, error) {
+	return collect(s, s.appNames(), func(ctx context.Context, name string) (Table1Row, error) {
 		run, err := s.fast(ctx, name)
 		if err != nil {
 			return Table1Row{}, err
@@ -403,7 +402,7 @@ type Table5Row struct {
 
 // Table5 reproduces Table V with the fast version of the tool.
 func (s *Session) Table5() ([]Table5Row, error) {
-	return collectApps(s, s.appNames(), func(ctx context.Context, name string) (Table5Row, error) {
+	return collect(s, s.appNames(), func(ctx context.Context, name string) (Table5Row, error) {
 		run, err := s.fast(ctx, name)
 		if err != nil {
 			return Table5Row{}, err
@@ -441,7 +440,7 @@ func (s *Session) Figure7() (map[string][]core.UsagePoint, error) {
 		name string
 		pts  []core.UsagePoint
 	}
-	res, err := collectApps(s, names, func(ctx context.Context, name string) (named, error) {
+	res, err := collect(s, names, func(ctx context.Context, name string) (named, error) {
 		run, err := s.fast(ctx, name)
 		if err != nil {
 			return named{}, err
@@ -481,7 +480,7 @@ type Table6Row struct {
 // average power is normalized to DDR3.  The per-app replays fan out in
 // parallel and are cached under their own run key.
 func (s *Session) Table6() ([]Table6Row, error) {
-	return collectApps(s, s.appNames(), func(ctx context.Context, name string) (Table6Row, error) {
+	return collect(s, s.appNames(), func(ctx context.Context, name string) (Table6Row, error) {
 		run, err := s.fast(ctx, name)
 		if err != nil {
 			return Table6Row{}, err
@@ -521,12 +520,11 @@ type Figure12Row struct {
 
 // Figure12 reproduces the performance-sensitivity study.  As in §VII-E,
 // only one iteration of the main loop is simulated, and only for two
-// applications (Nek5000 and CAM); the two sweeps run in parallel.  The app
-// is re-executed for each memory latency with the timing model attached;
-// runs are deterministic, so every sweep point sees the identical
-// reference stream.
+// applications (Nek5000 and CAM); the two sweeps run in parallel.  Each
+// app executes once with a cpusim.Sweep attached, which feeds the same
+// reference stream to one timing model per memory latency.
 func (s *Session) Figure12() ([]Figure12Row, error) {
-	return collectApps(s, s.subset([]string{"nek5000", "cam"}), func(ctx context.Context, name string) (Figure12Row, error) {
+	return collect(s, s.subset([]string{"nek5000", "cam"}), func(ctx context.Context, name string) (Figure12Row, error) {
 		res, err := s.latencySweep(ctx, name)
 		if err != nil {
 			return Figure12Row{}, err
@@ -535,38 +533,25 @@ func (s *Session) Figure12() ([]Figure12Row, error) {
 	})
 }
 
-// countingPerf forwards performance-event batches and counts the references
-// the sweep observed (the runner's throughput metric).
-func countingPerf(sink trace.PerfSink, refs *uint64) trace.PerfSink {
-	return trace.PerfSinkFunc(func(batch []trace.PerfEvent) error {
-		*refs += uint64(len(batch))
-		return sink.FlushEvents(batch)
-	})
-}
-
+// latencySweep runs the app once into a latency sweep.  Its refs count the
+// events delivered to each core, the per-profile work unit Table VI's
+// replays count as well.
 func (s *Session) latencySweep(ctx context.Context, name string) ([]cpusim.SweepResult, error) {
 	v, err := s.do(ctx, s.key(name, "perf-sweep", "table4-latencies"), func(ctx context.Context) (any, uint64, error) {
-		var refs uint64
-		var runErr error
-		replay := func(sink trace.PerfSink) {
-			if runErr != nil {
-				return
-			}
-			pcfg := pipeline.Config{
-				StackMode: memtrace.FastStack,
-				Perf:      countingPerf(sink, &refs),
-			}
-			s.chaos(&pcfg)
-			_, _, runErr = pipeline.Run(ctx, pcfg, name, s.cfg.scale, 1)
-		}
-		res, err := cpusim.Sweep(Figure12Devices, Figure12Latencies, replay)
+		sweep, err := cpusim.NewSweep(Figure12Devices, Figure12Latencies)
 		if err != nil {
 			return nil, 0, err
 		}
-		if runErr != nil {
-			return nil, 0, runErr
+		pcfg := pipeline.Config{StackMode: memtrace.FastStack, Perf: sweep}
+		s.chaos(&pcfg)
+		if _, _, err := pipeline.Run(ctx, pcfg, name, s.cfg.scale, 1); err != nil {
+			return nil, 0, err
 		}
-		return res, refs, nil
+		var refs uint64
+		for _, c := range sweep.Cores() {
+			refs += c.Stats().MemRefs
+		}
+		return sweep.Results(), refs, nil
 	})
 	if err != nil {
 		return nil, err
@@ -582,7 +567,7 @@ func (s *Session) Placement() (map[string]core.PlacementSummary, error) {
 		name string
 		plan core.PlacementSummary
 	}
-	res, err := collectApps(s, s.appNames(), func(ctx context.Context, name string) (named, error) {
+	res, err := collect(s, s.appNames(), func(ctx context.Context, name string) (named, error) {
 		run, err := s.fast(ctx, name)
 		if err != nil {
 			return named{}, err

@@ -66,7 +66,7 @@ const (
 //	  "exhibits": ["table5"],       // exhibit subset, default all
 //	  "jobs": 4,                    // worker-pool bound, 0 = GOMAXPROCS
 //	  "fault": "sink:every=50,seed=7", // chaos spec, default none
-//	  "retries": 2,                 // per-run retry attempts
+//	  "retries": 2,                 // retired, decoded and echoed only
 //	  "sample": "bernoulli:rate=64,seed=7" // sampled tracing, default off (v2)
 //	}
 type JobSpec struct {
@@ -78,7 +78,12 @@ type JobSpec struct {
 	Exhibits      []string `json:"exhibits,omitempty"`
 	Jobs          int      `json:"jobs,omitempty"`
 	Fault         string   `json:"fault,omitempty"`
-	Retries       int      `json:"retries,omitempty"`
+	// Retries is the retired per-run retry count, kept so older payloads,
+	// fixtures and journals still decode and echo unchanged.  It configures
+	// nothing: a run is deterministic and its faults are seeded, so a
+	// re-executed run fails the same way again.  Validate still rejects a
+	// negative value.
+	Retries int `json:"retries,omitempty"`
 	// Sample is a memtrace sample spec ("mode:rate=N[,seed=S]") switching
 	// every instrumented run of the job to seeded sampled tracing.  Empty
 	// (the default) observes every reference.  Schema version 2.
@@ -199,9 +204,6 @@ func (s JobSpec) SessionOptions() ([]Option, error) {
 			return nil, err
 		}
 		opts = append(opts, WithFaults(spec))
-	}
-	if n.Retries > 1 {
-		opts = append(opts, WithRetry(n.Retries))
 	}
 	if n.Sample != "" {
 		spec, err := memtrace.ParseSampleSpec(n.Sample)

@@ -7,7 +7,6 @@ import (
 	"nvscavenger/internal/faults"
 	"nvscavenger/internal/memtrace"
 	"nvscavenger/internal/obs"
-	"nvscavenger/internal/resilience"
 	"nvscavenger/internal/runner"
 )
 
@@ -35,7 +34,6 @@ type config struct {
 	metrics    *obs.Registry
 	fault      faults.Spec
 	degrade    bool
-	retry      resilience.RetryPolicy
 	cache      *runner.Cache
 	clock      func() time.Time
 	sample     memtrace.SampleSpec
@@ -174,18 +172,6 @@ func WithSample(spec memtrace.SampleSpec) Option {
 	return optionFunc(func(c *config) {
 		if spec.Enabled() {
 			c.sample = spec
-		}
-	})
-}
-
-// WithRetry installs a per-run retry policy on the session's engine: a
-// failed (or panicked) instrumented run is re-executed up to attempts
-// times before its error is reported.  Values below 2 are ignored (one
-// attempt is the default).
-func WithRetry(attempts int) Option {
-	return optionFunc(func(c *config) {
-		if attempts > 1 {
-			c.retry = resilience.RetryPolicy{Attempts: attempts}
 		}
 	})
 }

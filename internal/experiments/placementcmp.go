@@ -34,7 +34,7 @@ type PlacementComparison struct {
 // PlacementComparison runs the study for every app, fanning the per-app
 // runs and page-granularity replays out across the worker pool.
 func (s *Session) PlacementComparison() ([]PlacementComparison, error) {
-	return collectApps(s, s.appNames(), func(ctx context.Context, name string) (PlacementComparison, error) {
+	return collect(s, s.appNames(), func(ctx context.Context, name string) (PlacementComparison, error) {
 		run, err := s.fast(ctx, name)
 		if err != nil {
 			return PlacementComparison{}, err

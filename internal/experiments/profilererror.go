@@ -10,7 +10,6 @@ import (
 	"nvscavenger/internal/core"
 	"nvscavenger/internal/memtrace"
 	"nvscavenger/internal/pipeline"
-	"nvscavenger/internal/runner"
 )
 
 // ProfilerErrorStudy is the quantified-sampling harness of ROADMAP item 2:
@@ -80,47 +79,91 @@ type profRun struct {
 	ratio    float64
 }
 
-// profilerRun executes one app under the given sampling spec (the zero
-// spec is the perfect profiler) and reduces the tracer to the per-object
-// estimates the comparison needs.  Runs are keyed by app x mode x rate x
-// seed, so re-requesting a configuration is free and concurrent exhibits
-// share executions.
-func (s *Session) profilerRun(ctx context.Context, app string, spec memtrace.SampleSpec) (profRun, error) {
-	profile := "perfect"
-	if spec.Enabled() {
-		profile = spec.String()
-	}
-	v, err := s.do(ctx, s.key(app, "profiler", profile),
-		func(ctx context.Context) (any, uint64, error) {
-			stack, _, err := pipeline.Run(ctx, pipeline.Config{StackMode: memtrace.FastStack, Sample: spec},
-				app, s.cfg.scale, s.cfg.iterations)
-			if err != nil {
-				return nil, 0, err
-			}
-			tr := stack.Tracer
-			est := tr.Estimator()
-			res := profRun{
-				observed: tr.Sampled,
-				objects:  map[string]profObject{},
-				ratio:    core.StackAnalysis(tr).OverallRatio,
-			}
-			for _, o := range tr.Objects() {
-				loop := est.Loop(o)
-				if loop.Refs() <= 0 {
-					continue
-				}
-				res.objects[o.Name] = profObject{
-					refs:   loop.Refs(),
-					writes: loop.Writes,
-					series: est.IterSeries(o),
-				}
-			}
-			return res, tr.Sampled, nil
-		})
+// perfectRun returns the memoized full-instrumentation tracer: the perfect
+// profiler here and the period-1 baseline of SamplingStudy.  One execution
+// serves both studies; each reduces the tracer read-only, as the exhibits
+// share Fast's tracer.
+func (s *Session) perfectRun(ctx context.Context, app string) (*memtrace.Tracer, error) {
+	v, err := s.do(ctx, s.key(app, "profiler", "perfect"), func(ctx context.Context) (any, uint64, error) {
+		tr, err := s.traceRun(ctx, app, memtrace.SampleSpec{})
+		if err != nil {
+			return nil, 0, err
+		}
+		return tr, tr.Sampled, nil
+	})
 	if err != nil {
-		return profRun{}, err
+		return nil, err
 	}
-	return v.(profRun), nil
+	return v.(*memtrace.Tracer), nil
+}
+
+// traceRun executes one FastStack run of app under spec with no consumer
+// attached and returns its tracer.
+func (s *Session) traceRun(ctx context.Context, app string, spec memtrace.SampleSpec) (*memtrace.Tracer, error) {
+	stack, _, err := pipeline.Run(ctx, pipeline.Config{StackMode: memtrace.FastStack, Sample: spec},
+		app, s.cfg.scale, s.cfg.iterations)
+	if err != nil {
+		return nil, err
+	}
+	return stack.Tracer, nil
+}
+
+// reducedRun returns reduce applied to app's run under spec.  A spec that
+// samples nothing reduces the perfect run's tracer; a sampled run is
+// memoized under mode/profile and keeps only its reduction, so
+// re-requesting a configuration is free and concurrent exhibits share
+// executions.
+func reducedRun[T any](ctx context.Context, s *Session, app, mode, profile string, spec memtrace.SampleSpec,
+	reduce func(*memtrace.Tracer) T) (T, error) {
+	var zero T
+	if !spec.Enabled() {
+		tr, err := s.perfectRun(ctx, app)
+		if err != nil {
+			return zero, err
+		}
+		return reduce(tr), nil
+	}
+	v, err := s.do(ctx, s.key(app, mode, profile), func(ctx context.Context) (any, uint64, error) {
+		tr, err := s.traceRun(ctx, app, spec)
+		if err != nil {
+			return nil, 0, err
+		}
+		return reduce(tr), tr.Sampled, nil
+	})
+	if err != nil {
+		return zero, err
+	}
+	return v.(T), nil
+}
+
+// profilerRun returns the per-object estimates of one app under the given
+// sampling spec (the zero spec is the perfect profiler), keyed by
+// app x mode x rate x seed.
+func (s *Session) profilerRun(ctx context.Context, app string, spec memtrace.SampleSpec) (profRun, error) {
+	return reducedRun(ctx, s, app, "profiler", spec.String(), spec, reduceProfile)
+}
+
+// reduceProfile reduces a tracer to the per-object estimates the
+// comparison needs.
+func reduceProfile(tr *memtrace.Tracer) profRun {
+	est := tr.Estimator()
+	res := profRun{
+		observed: tr.Sampled,
+		objects:  map[string]profObject{},
+		ratio:    core.StackAnalysis(tr).OverallRatio,
+	}
+	for _, o := range tr.Objects() {
+		loop := est.Loop(o)
+		if loop.Refs() <= 0 {
+			continue
+		}
+		res.objects[o.Name] = profObject{
+			refs:   loop.Refs(),
+			writes: loop.Writes,
+			series: est.IterSeries(o),
+		}
+	}
+	return res
 }
 
 // relErr is |est-true|/true, falling back to the absolute error when the
@@ -219,7 +262,7 @@ func (s *Session) ProfilerErrorStudy(app string, specs []memtrace.SampleSpec) ([
 	if err != nil {
 		return nil, err
 	}
-	return runner.Collect(s.ctx(), specs, func(ctx context.Context, spec memtrace.SampleSpec) (ProfilerErrorRow, error) {
+	return collect(s, specs, func(ctx context.Context, spec memtrace.SampleSpec) (ProfilerErrorRow, error) {
 		if !spec.Enabled() {
 			return compare(spec, perfect, perfect), nil
 		}

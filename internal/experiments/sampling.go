@@ -7,8 +7,6 @@ import (
 
 	"nvscavenger/internal/core"
 	"nvscavenger/internal/memtrace"
-	"nvscavenger/internal/pipeline"
-	"nvscavenger/internal/runner"
 )
 
 // SamplingRow measures what instruction sampling costs the analysis at one
@@ -31,56 +29,47 @@ type SamplingRow struct {
 	PlacementDiffs int
 }
 
+// samplingRun is the part of one sampled run the study compares.
+type samplingRun struct {
+	refs    uint64
+	active  map[string]bool
+	targets map[string]core.Target
+	ratio   float64
+}
+
+// reduceSampling reduces a tracer to its observed count, its main-loop
+// active objects, its category-2 placement and its Table V stack ratio.
+func reduceSampling(tr *memtrace.Tracer) samplingRun {
+	res := samplingRun{
+		refs:    tr.Sampled,
+		active:  map[string]bool{},
+		targets: map[string]core.Target{},
+		ratio:   core.StackAnalysis(tr).OverallRatio,
+	}
+	plan := core.Plan(tr, core.DefaultPolicy(core.Category2))
+	for _, adv := range plan.Advices {
+		if adv.Object.LoopStats().Refs() > 0 {
+			res.active[adv.Object.Name] = true
+		}
+		res.targets[adv.Object.Name] = adv.Target
+	}
+	return res
+}
+
 // SamplingStudy runs one app at several sampling periods and quantifies the
 // information loss against the full (period 1) instrumentation.  The
-// sampled runs are scheduled on the session's engine — keyed by period —
-// so they execute in parallel and re-requesting a period is free.
+// sampled runs fan out across the worker pool; in a degraded session a
+// failed period drops only its own row.
 func (s *Session) SamplingStudy(app string, periods []int) ([]SamplingRow, error) {
-	type runResult struct {
-		refs    uint64
-		active  map[string]bool
-		targets map[string]core.Target
-		ratio   float64
+	runAt := func(ctx context.Context, period int) (samplingRun, error) {
+		return reducedRun(ctx, s, app, "sampling", fmt.Sprintf("period-%d", period),
+			memtrace.SampleSpec{Mode: memtrace.SamplePeriodic, Rate: uint64(period)}, reduceSampling)
 	}
-
-	runAt := func(ctx context.Context, period int) (runResult, error) {
-		v, err := s.do(ctx, s.key(app, "sampling", fmt.Sprintf("period-%d", period)),
-			func(ctx context.Context) (any, uint64, error) {
-				stack, _, err := pipeline.Run(ctx, pipeline.Config{
-					StackMode: memtrace.FastStack,
-					Sample:    memtrace.SampleSpec{Mode: memtrace.SamplePeriodic, Rate: uint64(period)},
-				}, app, s.cfg.scale, s.cfg.iterations)
-				if err != nil {
-					return nil, 0, err
-				}
-				tr := stack.Tracer
-				res := runResult{
-					refs:    tr.Sampled,
-					active:  map[string]bool{},
-					targets: map[string]core.Target{},
-					ratio:   core.StackAnalysis(tr).OverallRatio,
-				}
-				plan := core.Plan(tr, core.DefaultPolicy(core.Category2))
-				for _, adv := range plan.Advices {
-					if adv.Object.LoopStats().Refs() > 0 {
-						res.active[adv.Object.Name] = true
-					}
-					res.targets[adv.Object.Name] = adv.Target
-				}
-				return res, tr.Sampled, nil
-			})
-		if err != nil {
-			return runResult{}, err
-		}
-		return v.(runResult), nil
-	}
-
 	full, err := runAt(s.ctx(), 1)
 	if err != nil {
 		return nil, err
 	}
-
-	return runner.Collect(s.ctx(), periods, func(ctx context.Context, period int) (SamplingRow, error) {
+	return collect(s, periods, func(ctx context.Context, period int) (SamplingRow, error) {
 		res := full
 		if period > 1 {
 			var err error

@@ -22,9 +22,9 @@
 //     an uncommitted tail is dropped, which is exactly the contract the
 //     manager's idempotent re-execution expects.
 //   - Repair: a failed commit (short write, ErrNoSpace, torn write)
-//     truncates back to the last durable offset and rewrites, under a
-//     bounded resilience.RetryPolicy — transient disk faults never
-//     corrupt the log, persistent ones surface as errors.
+//     truncates back to the last durable offset and rewrites, up to a
+//     bounded number of attempts — transient disk faults never corrupt
+//     the log, persistent ones surface as errors.
 //   - Compaction: once the live set is a small fraction of the file,
 //     Compact rewrites it as a snapshot into a temp file and rotates it
 //     over the log with an atomic rename plus directory fsync.
@@ -48,7 +48,6 @@ import (
 
 	"nvscavenger/internal/experiments"
 	"nvscavenger/internal/obs"
-	"nvscavenger/internal/resilience"
 )
 
 // Record kinds beyond the terminal experiments.State* values (which are
@@ -83,8 +82,8 @@ const (
 	// maxRecord bounds a frame's claimed payload length; a header
 	// claiming more is corruption, not a record.
 	maxRecord = 64 << 20
-	// defaultAttempts is the commit retry bound when Options.Retry is
-	// unset: the first try plus two repairs.
+	// defaultAttempts is the commit attempt bound when Options.Attempts
+	// is unset: the first try plus two repairs.
 	defaultAttempts = 3
 )
 
@@ -103,11 +102,11 @@ var (
 
 // Options configures Open.
 type Options struct {
-	// Retry bounds commit re-attempts after a transient append failure
-	// (short write, disk full, torn write): the journal truncates back
-	// to the last durable offset and rewrites the batch.  The zero value
-	// selects 3 attempts with no backoff.
-	Retry resilience.RetryPolicy
+	// Attempts bounds the commit tries, the first included, after a
+	// transient append failure (short write, disk full, torn write): the
+	// journal truncates back to the last durable offset and rewrites the
+	// batch.  Values below 1 select 3 attempts.
+	Attempts int
 	// Metrics is the registry the served_journal_* series publish into;
 	// nil gets a private registry.
 	Metrics *obs.Registry
@@ -313,13 +312,12 @@ func (j *Journal) Append(recs ...Record) error {
 }
 
 // commit makes the framed batch durable, repairing and retrying
-// transient failures under the bounded policy.  Callers hold j.mu.
+// transient failures up to the attempt bound.  Callers hold j.mu.
 func (j *Journal) commit(p []byte) error {
-	policy := j.opts.Retry
-	if policy.Attempts < 1 {
-		policy.Attempts = defaultAttempts
+	n := j.opts.Attempts
+	if n < 1 {
+		n = defaultAttempts
 	}
-	n := policy.MaxAttempts()
 	var err error
 	for i := 0; ; i++ {
 		err = j.tryCommit(p)
@@ -334,7 +332,6 @@ func (j *Journal) commit(p []byte) error {
 			break
 		}
 		j.retries.Inc()
-		policy.Wait(i)
 	}
 	// Leave the file ending at the durable offset: the failed batch's
 	// partial frame must not survive as a torn tail.

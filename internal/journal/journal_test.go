@@ -10,7 +10,6 @@ import (
 	"nvscavenger/internal/experiments"
 	"nvscavenger/internal/faults"
 	"nvscavenger/internal/obs"
-	"nvscavenger/internal/resilience"
 )
 
 func testPath(t *testing.T) string {
@@ -256,7 +255,7 @@ func TestShortWriteRepairedByRetry(t *testing.T) {
 	spec := faults.MustParse("writer:every=3,mode=short,seed=7")
 	wrap := func(w io.Writer) io.Writer { return faults.Writer(spec, w) }
 	path := testPath(t)
-	j, _ := mustOpen(t, path, Options{Metrics: reg, Wrap: wrap, Retry: resilience.RetryPolicy{Attempts: 3}})
+	j, _ := mustOpen(t, path, Options{Metrics: reg, Wrap: wrap, Attempts: 3})
 	for i := 0; i < 9; i++ {
 		if err := j.Append(specRecord("job-1")); err != nil {
 			t.Fatalf("Append %d: %v (short writes must be repaired)", i, err)
@@ -282,7 +281,7 @@ func TestTornWriteDetectedBySizeCheck(t *testing.T) {
 	spec := faults.MustParse("writer:every=2,mode=torn,seed=7")
 	wrap := func(w io.Writer) io.Writer { return faults.Writer(spec, w) }
 	path := testPath(t)
-	j, _ := mustOpen(t, path, Options{Metrics: reg, Wrap: wrap, Retry: resilience.RetryPolicy{Attempts: 3}})
+	j, _ := mustOpen(t, path, Options{Metrics: reg, Wrap: wrap, Attempts: 3})
 	for i := 0; i < 6; i++ {
 		if err := j.Append(specRecord("job-1")); err != nil {
 			t.Fatalf("Append %d: %v (torn writes must be caught and repaired)", i, err)
@@ -304,7 +303,7 @@ func TestRetryExhaustionSurfacesError(t *testing.T) {
 	spec := faults.MustParse("writer:every=1,mode=short") // every write fails
 	wrap := func(w io.Writer) io.Writer { return faults.Writer(spec, w) }
 	path := testPath(t)
-	j, _ := mustOpen(t, path, Options{Wrap: wrap, Retry: resilience.RetryPolicy{Attempts: 2}})
+	j, _ := mustOpen(t, path, Options{Wrap: wrap, Attempts: 2})
 	err := j.Append(specRecord("job-1"))
 	if err == nil {
 		t.Fatal("Append succeeded with every write failing")

@@ -241,4 +241,20 @@ func TestNoBatchAliasingSimulators(t *testing.T) {
 				return fmt.Sprintf("%+v %v", core.Stats(), c.Items)
 			}
 		})
+	// The latency sweep hands one batch to every core in turn; the caller
+	// recycles it only after the last core returns, so no core may keep it.
+	poisonRun(t, "cpusim.Sweep", perfBatches, poisonPerf,
+		func(t *testing.T) (func([]trace.PerfEvent) error, func() string) {
+			sweep, err := cpusim.NewSweep([]string{"DRAM", "MRAM", "STTRAM", "PCRAM"}, []float64{10, 12, 20, 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sweep.FlushEvents, func() string {
+				var sb strings.Builder
+				for _, c := range sweep.Cores() {
+					fmt.Fprintf(&sb, "%+v\n", c.Stats())
+				}
+				return fmt.Sprint(sb.String(), sweep.Results())
+			}
+		})
 }

@@ -1,6 +1,6 @@
 // Package resilience holds the failure-handling primitives the simulation
-// pipeline composes: bounded retry with a deterministic backoff schedule, a
-// count-based circuit breaker, and a panic-to-error recovery wrapper.
+// pipeline composes: a count-based circuit breaker and a panic-to-error
+// recovery wrapper.
 //
 // The paper's §I motivation is the exascale *resiliency challenge* — the
 // mean time between failures shrinks as the machine grows — and the
@@ -8,76 +8,16 @@
 // any persistent-memory study.  This package gives the rest of the tree
 // one shared vocabulary for surviving injected (internal/faults) or real
 // failures without giving up determinism: nothing here reads a wall clock
-// or a global random source to make a decision.  Retry counts, breaker
-// transitions and recovery are pure functions of the call sequence, so a
-// degraded run is byte-identical at jobs=1 and jobs=N.
+// or a global random source to make a decision.  Breaker transitions and
+// recovery are pure functions of the call sequence, so a degraded run is
+// byte-identical at jobs=1 and jobs=N.
 package resilience
 
 import (
 	"fmt"
 	"runtime/debug"
 	"sync"
-	"time"
 )
-
-// RetryPolicy is a bounded retry schedule.  The zero value performs no
-// retries (exactly one attempt), so wiring a policy through existing code
-// is free until a caller opts in.
-type RetryPolicy struct {
-	// Attempts is the total number of tries, including the first; values
-	// below 1 mean one attempt (no retry).
-	Attempts int
-	// Backoff is the deterministic wait schedule: retry i sleeps
-	// Backoff[min(i, len(Backoff)-1)].  An empty schedule retries
-	// immediately, which keeps tests and chaos runs deterministic in time.
-	Backoff []time.Duration
-	// Sleep overrides time.Sleep (tests).  Nil selects time.Sleep.
-	Sleep func(time.Duration)
-}
-
-// MaxAttempts returns the effective attempt bound: at least 1.  Callers
-// that need a context-aware loop (the run engine must not retry a
-// cancelled run) iterate themselves with MaxAttempts and Wait.
-func (p RetryPolicy) MaxAttempts() int {
-	if p.Attempts < 1 {
-		return 1
-	}
-	return p.Attempts
-}
-
-// Wait blocks for the backoff step of retry i (0-based).  A policy with no
-// schedule returns immediately.
-func (p RetryPolicy) Wait(i int) {
-	if len(p.Backoff) == 0 {
-		return
-	}
-	if i >= len(p.Backoff) {
-		i = len(p.Backoff) - 1
-	}
-	d := p.Backoff[i]
-	if d <= 0 {
-		return
-	}
-	if p.Sleep != nil {
-		p.Sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
-// Do runs fn up to Attempts times, waiting the backoff step between tries.
-// It returns the number of retries performed (0 when the first attempt
-// succeeded) and the first nil — or last non-nil — error.
-func (p RetryPolicy) Do(fn func() error) (retries int, err error) {
-	n := p.MaxAttempts()
-	for i := 0; ; i++ {
-		err = fn()
-		if err == nil || i+1 >= n {
-			return i, err
-		}
-		p.Wait(i)
-	}
-}
 
 // BreakerState is the circuit breaker's position.
 type BreakerState uint8

@@ -3,76 +3,7 @@ package resilience
 import (
 	"errors"
 	"testing"
-	"time"
 )
-
-func TestRetryZeroValueIsSingleAttempt(t *testing.T) {
-	var p RetryPolicy
-	calls := 0
-	boom := errors.New("boom")
-	retries, err := p.Do(func() error { calls++; return boom })
-	if calls != 1 || retries != 0 || !errors.Is(err, boom) {
-		t.Fatalf("calls=%d retries=%d err=%v, want 1/0/boom", calls, retries, err)
-	}
-}
-
-func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
-	p := RetryPolicy{Attempts: 4}
-	calls := 0
-	retries, err := p.Do(func() error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 || retries != 2 {
-		t.Fatalf("calls=%d retries=%d, want 3/2", calls, retries)
-	}
-}
-
-func TestRetryExhaustsAndReturnsLastError(t *testing.T) {
-	p := RetryPolicy{Attempts: 3}
-	var last error
-	calls := 0
-	retries, err := p.Do(func() error {
-		calls++
-		last = errors.New("fail")
-		return last
-	})
-	if calls != 3 || retries != 2 {
-		t.Fatalf("calls=%d retries=%d, want 3/2", calls, retries)
-	}
-	if !errors.Is(err, last) {
-		t.Fatalf("err = %v, want the last failure", err)
-	}
-}
-
-// TestRetryBackoffSchedule: the wait sequence is a deterministic function of
-// the retry index — retry i sleeps Backoff[min(i, len-1)].
-func TestRetryBackoffSchedule(t *testing.T) {
-	var slept []time.Duration
-	p := RetryPolicy{
-		Attempts: 5,
-		Backoff:  []time.Duration{time.Millisecond, 2 * time.Millisecond},
-		Sleep:    func(d time.Duration) { slept = append(slept, d) },
-	}
-	if _, err := p.Do(func() error { return errors.New("always") }); err == nil {
-		t.Fatal("want exhaustion error")
-	}
-	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 2 * time.Millisecond, 2 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %v, want %v", slept, want)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("sleep %d = %v, want %v", i, slept[i], want[i])
-		}
-	}
-}
 
 // TestBreakerStickyTrip: FailureThreshold consecutive failures open the
 // breaker and calls are rejected until the cooldown elapses.

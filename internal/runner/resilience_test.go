@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"nvscavenger/internal/resilience"
@@ -32,103 +31,6 @@ func TestDoRecoversWorkerPanic(t *testing.T) {
 	})
 	if err != nil || v != "ok" {
 		t.Fatalf("post-panic run: v=%v err=%v", v, err)
-	}
-}
-
-// TestRetryPolicyRetriesTransientFailures: with Retry{Attempts:3} a run
-// failing twice then succeeding is reported as one success, with the retry
-// count published.
-func TestRetryPolicyRetriesTransientFailures(t *testing.T) {
-	e := New(Config{Jobs: 1, Retry: resilience.RetryPolicy{Attempts: 3}})
-	var calls atomic.Int64
-	var events []EventKind
-	e.cfg.Progress = func(ev Event) { events = append(events, ev.Kind) }
-	v, err := e.Do(context.Background(), key("gtc"), func(ctx context.Context) (any, uint64, error) {
-		if calls.Add(1) < 3 {
-			return nil, 0, errors.New("transient")
-		}
-		return "recovered", 5, nil
-	})
-	if err != nil || v != "recovered" {
-		t.Fatalf("v=%v err=%v", v, err)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("calls = %d, want 3", calls.Load())
-	}
-	snap := e.Registry().Snapshot()
-	if r, _ := snap.Counter("runner_retries_total"); r != 2 {
-		t.Fatalf("runner_retries_total = %d, want 2", r)
-	}
-	// One verdict per run: start, then done — transient attempts must not
-	// leak error events into progress.
-	if len(events) != 2 || events[0] != EventStart || events[1] != EventDone {
-		t.Fatalf("events = %v, want [start done]", events)
-	}
-}
-
-// TestRetryPolicyRetriesPanics: panic recovery composes with retry — a run
-// that panics once then succeeds is a success.
-func TestRetryPolicyRetriesPanics(t *testing.T) {
-	e := New(Config{Jobs: 1, Retry: resilience.RetryPolicy{Attempts: 2}})
-	var calls atomic.Int64
-	v, err := e.Do(context.Background(), key("cam"), func(ctx context.Context) (any, uint64, error) {
-		if calls.Add(1) == 1 {
-			panic(errors.New("flaky assertion"))
-		}
-		return 7, 1, nil
-	})
-	if err != nil || v.(int) != 7 {
-		t.Fatalf("v=%v err=%v", v, err)
-	}
-	snap := e.Registry().Snapshot()
-	if p, _ := snap.Counter("runner_panics_recovered_total"); p != 1 {
-		t.Fatalf("runner_panics_recovered_total = %d, want 1", p)
-	}
-	if r, _ := snap.Counter("runner_retries_total"); r != 1 {
-		t.Fatalf("runner_retries_total = %d, want 1", r)
-	}
-}
-
-// TestRetryPolicyDoesNotRetryCancellation: a cancelled run is not
-// transient; retrying it would just burn attempts against a dead context.
-func TestRetryPolicyDoesNotRetryCancellation(t *testing.T) {
-	e := New(Config{Jobs: 1, Retry: resilience.RetryPolicy{Attempts: 5}})
-	ctx, cancel := context.WithCancel(context.Background())
-	var calls atomic.Int64
-	_, err := e.Do(ctx, key("gts"), func(ctx context.Context) (any, uint64, error) {
-		calls.Add(1)
-		cancel()
-		return nil, 0, ctx.Err()
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("calls = %d, want 1 (no retry after cancellation)", calls.Load())
-	}
-	if r, _ := e.Registry().Snapshot().Counter("runner_retries_total"); r != 0 {
-		t.Fatalf("runner_retries_total = %d, want 0", r)
-	}
-}
-
-// TestRetryExhaustionReportsLastError: all attempts failing yields the
-// final error and one EventError.
-func TestRetryExhaustionReportsLastError(t *testing.T) {
-	e := New(Config{Jobs: 1, Retry: resilience.RetryPolicy{Attempts: 3}})
-	boom := errors.New("persistent")
-	var calls atomic.Int64
-	_, err := e.Do(context.Background(), key("flash"), func(ctx context.Context) (any, uint64, error) {
-		calls.Add(1)
-		return nil, 0, boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the persistent failure", err)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("calls = %d, want 3", calls.Load())
-	}
-	if r, _ := e.Registry().Snapshot().Counter("runner_retries_total"); r != 2 {
-		t.Fatalf("runner_retries_total = %d, want 2", r)
 	}
 }
 

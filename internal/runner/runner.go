@@ -216,8 +216,8 @@ func (m Metrics) WallSummary() stats.Summary {
 
 // Cache is the keyed single-flight run store.  It used to be private to
 // one Engine; extracting it lets independent engines — one per submitted
-// job in the nvserved daemon, each with its own context, progress stream
-// and retry policy — share one set of memoized runs, so concurrent clients
+// job in the nvserved daemon, each with its own context and progress
+// stream — share one set of memoized runs, so concurrent clients
 // requesting the same run still trigger exactly one execution.
 //
 // A Cache is safe for concurrent use by any number of engines.  Failed
@@ -253,11 +253,6 @@ type Config struct {
 	// pass a shared one so several engines (concurrent service jobs)
 	// deduplicate runs across engine instances.
 	Cache *Cache
-	// Retry is the per-run retry policy: a failed (or panicked) run is
-	// re-executed up to the policy's attempt bound before the error is
-	// reported.  Cancelled runs are never retried.  The zero value keeps
-	// the engine's historical run-once behaviour.
-	Retry resilience.RetryPolicy
 }
 
 // Option adjusts an Engine beyond its Config.
@@ -292,7 +287,6 @@ type Engine struct {
 	misses   *obs.Counter
 	errs     *obs.Counter
 	joinErrs *obs.Counter
-	retries  *obs.Counter
 	panics   *obs.Counter
 
 	cache *Cache
@@ -329,7 +323,6 @@ func New(cfg Config, opts ...Option) *Engine {
 		misses:   reg.Counter("runner_misses_total"),
 		errs:     reg.Counter("runner_errors_total"),
 		joinErrs: reg.Counter("runner_joined_failures_total"),
-		retries:  reg.Counter("runner_retries_total"),
 		panics:   reg.Counter("runner_panics_recovered_total"),
 		cache:    cache,
 	}
@@ -407,18 +400,9 @@ func (e *Engine) execute(ctx context.Context, key Key, fn Func) (any, error) {
 
 	start := e.now()
 	e.emit(Event{Kind: EventStart, Key: key, Time: start})
+	// A run is deterministic and its faults are seeded, so a failed run is
+	// reported, never re-executed: a second attempt would fail the same way.
 	v, refs, err := e.attempt(ctx, fn)
-	// Retry transient failures per the engine policy.  Cancellation is
-	// never transient, and events fire only for the final outcome so
-	// progress consumers see one verdict per run.
-	for i := 0; err != nil && i+1 < e.cfg.Retry.MaxAttempts(); i++ {
-		if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			break
-		}
-		e.retries.Inc()
-		e.cfg.Retry.Wait(i)
-		v, refs, err = e.attempt(ctx, fn)
-	}
 	end := e.now()
 	wall := end.Sub(start)
 	if err != nil {
