@@ -64,11 +64,14 @@ race-journal:
 # panics, no spec asking for more than one shard per run is accepted, and
 # every accepted spec's normalized form survives an encode/decode round
 # trip.  The sample and fault spec parsers: no input panics, and every
-# accepted spec parses back from its canonical String unchanged.
+# accepted spec parses back from its canonical String unchanged.  The
+# trace-file reader: no input panics, and every record it returns survives
+# a Writer round trip unchanged.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJobSpec -fuzztime 5s ./internal/experiments
 	$(GO) test -run '^$$' -fuzz FuzzParseSampleSpec -fuzztime 5s ./internal/memtrace
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 5s ./internal/faults
+	$(GO) test -run '^$$' -fuzz FuzzNewReader -fuzztime 5s ./internal/trace
 
 # One pass over the pipeline-throughput and instrumentation-overhead
 # benchmarks: a smoke check that the fused dataflow, with and without its
@@ -82,11 +85,11 @@ bench:
 bench-e2e-test:
 	cd benchmark && $(GO) test ./...
 
-# Chaos gate: the fault-injection and resilience packages race-enabled,
+# Chaos gate: the fault-injection and run-engine packages race-enabled,
 # plus one seeded degraded sweep — it must complete (exit 0) with partial
 # exhibits rather than abort.
 chaos:
-	$(GO) test -race -count=2 ./internal/faults ./internal/resilience
+	$(GO) test -race -count=2 ./internal/faults ./internal/runner
 	$(GO) run ./cmd/nvreport -scale 0.05 -iterations 3 -only table1,table5 \
 		-fault sink:every=3,seed=7 -progress=false >/dev/null
 	@# Seeded degraded reports must not depend on scheduling: each spec's

@@ -24,6 +24,11 @@
 // finish until -drain-timeout, stragglers are cancelled, and the final
 // metrics snapshot is flushed (-metrics) before exit.
 //
+// Intake rejects a submission only when the queue is full (429) or while
+// draining (503).  A failed job is reported in its own result and never
+// turns later submissions away: runs are deterministic, so a job fails
+// only on what its own spec triggers.
+//
 // With -state-dir the daemon is crash-safe: every job transition is
 // committed to a write-ahead journal (<state-dir>/journal.wal) before it
 // is acknowledged, and a restart replays the log — finished jobs come
@@ -46,7 +51,6 @@ import (
 
 	"nvscavenger/internal/cli"
 	"nvscavenger/internal/faults"
-	"nvscavenger/internal/resilience"
 	"nvscavenger/internal/served"
 )
 
@@ -62,8 +66,6 @@ func run(args []string, out io.Writer) error {
 	metricsOut := fs.String("metrics", "", "flush the final observability snapshot to this file on shutdown (.json for JSON, text otherwise)")
 	stateDir := fs.String("state-dir", "", "directory for the crash-safe job journal; empty keeps jobs in memory only")
 	faultSpec := fs.String("fault", "", "chaos on the serving path: writer-target fault spec, e.g. writer:every=100,seed=7")
-	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive failed jobs that trip the intake breaker (0 = disabled)")
-	breakerCooldown := fs.Int("breaker-cooldown", 4, "submissions rejected while the breaker is open before a probe is allowed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -75,12 +77,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		cfg.Fault = spec
-	}
-	if *breakerThreshold > 0 {
-		cfg.Breaker = resilience.BreakerConfig{
-			FailureThreshold: *breakerThreshold,
-			Cooldown:         *breakerCooldown,
-		}
 	}
 	m, _, err := served.Open(cfg)
 	if err != nil {

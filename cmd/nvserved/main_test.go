@@ -267,8 +267,11 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run([]string{"-fault", "writer:bogus=1", "-addr", "127.0.0.1:0"}, &out); err == nil {
 		t.Error("malformed -fault spec must error")
 	}
-	if err := run([]string{"-nonsense"}, &out); err == nil {
-		t.Error("unknown flag must error")
+	for _, flag := range []string{"-nonsense", "-breaker-threshold"} {
+		err := run([]string{flag, "1"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an unknown-flag error", flag, err)
+		}
 	}
 }
 

@@ -60,13 +60,20 @@ type App struct {
 	checksum float64
 }
 
+// Periodic 7-point stencil strides (flattened 3D approximation).
+const (
+	strideY = 32
+	strideZ = 1024
+)
+
 // New returns an S3D proxy at the given scale (1.0 ~ 6 MB footprint:
 // Table I's 512 MB per task divided by ~64, with the 60^3 grid scaled to
-// ~32^3 points).
+// ~32^3 points).  The grid holds at least one z-stride of points, so the
+// stencil's wrapped neighbour index stays in range at any scale.
 func New(scale float64) *App {
 	n := int(32768 * scale)
-	if n < 512 {
-		n = 512
+	if n < strideZ {
+		n = strideZ
 	}
 	return &App{scale: scale, points: n}
 }
@@ -130,9 +137,6 @@ func (a *App) Setup(tr *memtrace.Tracer) error {
 // Step advances one Runge-Kutta-like stage over the whole grid.
 func (a *App) Step(tr *memtrace.Tracer, iter int) error {
 	n := a.points
-	// Periodic 7-point stencil strides (flattened 3D approximation).
-	strideY := 32
-	strideZ := 1024
 	sum := 0.0
 
 	// Momentum and temperature transport: 7-point stencils over the heap

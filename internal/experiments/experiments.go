@@ -144,7 +144,7 @@ func (s *Session) RunErrors() []RunError {
 
 // Degraded reports whether the session runs in graceful-degradation mode,
 // which WithFaults switches on when it arms a fault.
-func (s *Session) Degraded() bool { return s.cfg.degrade }
+func (s *Session) Degraded() bool { return s.cfg.fault.Enabled() }
 
 // do schedules one keyed run on the engine, arming the worker-crash fault
 // when the session's spec targets workers.  The crash decision is a pure
@@ -237,26 +237,30 @@ func (s *Session) key(app, mode, profile string) runner.Key {
 
 // collect fans per-item work (apps, sampling periods, profiler specs) out
 // across the engine's worker pool and returns the results in input order,
-// so any report built from them is byte-identical to a sequential run.  In
-// degraded mode a failed item does not abort its siblings: its row is
-// dropped from the result (the failure is annotated via RunErrors) and
-// only the parent context's cancellation still aborts.
+// so any report built from them is byte-identical to a sequential run.
+// Every item runs; a failure never cancels a sibling.  A done session
+// context aborts with its error.  In degraded mode a failed item's row is
+// dropped from the result (the failure is annotated via RunErrors); a
+// healthy session reports every failed item's error, joined in input
+// order, so the error does not depend on scheduling.
 func collect[K, T any](s *Session, items []K, f func(ctx context.Context, item K) (T, error)) ([]T, error) {
-	if !s.cfg.degrade {
-		return runner.Collect(s.ctx(), items, f)
+	res, errs := runner.Collect(s.ctx(), items, f)
+	if err := s.ctx().Err(); err != nil {
+		return nil, err
 	}
-	res, errs := runner.CollectPartial(s.ctx(), items, f)
 	out := make([]T, 0, len(res))
+	var failed []error
 	for i, err := range errs {
 		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, err
-			}
-			continue // annotated through the engine's progress stream
+			failed = append(failed, err)
+			continue
 		}
 		out = append(out, res[i])
 	}
-	return out, nil
+	if len(failed) == 0 || s.Degraded() {
+		return out, nil
+	}
+	return nil, errors.Join(failed...)
 }
 
 // Fast returns the memoized fast-stack-mode run of an app, with the cache
@@ -332,8 +336,9 @@ func (s *Session) runSlow(ctx context.Context, name string) (*Run, error) {
 
 // Warm populates every memoized run the exhibits need, fanning the
 // instrumented executions out across the worker pool — the same trick the
-// original tool uses to amortize instrumentation time (§III-D).  It
-// returns the first error encountered.
+// original tool uses to amortize instrumentation time (§III-D).  Its
+// error follows collect: every failed run in input order on a healthy
+// session, none on a degraded one.
 func (s *Session) Warm() error {
 	type job struct{ mode, name string }
 	jobs := make([]job, 0, len(s.appNames())+1)
@@ -355,18 +360,7 @@ func (s *Session) Warm() error {
 		}
 		return struct{}{}, nil
 	}
-	if s.cfg.degrade {
-		// Degraded warm-up: failed runs are annotated (RunErrors) and the
-		// exhibits degrade per app; only the parent's cancellation aborts.
-		_, errs := runner.CollectPartial(s.ctx(), jobs, warmOne)
-		for _, err := range errs {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return err
-			}
-		}
-		return nil
-	}
-	_, err := runner.Collect(s.ctx(), jobs, warmOne)
+	_, err := collect(s, jobs, warmOne)
 	return err
 }
 

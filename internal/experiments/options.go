@@ -33,7 +33,6 @@ type config struct {
 	progress   func(runner.Event)
 	metrics    *obs.Registry
 	fault      faults.Spec
-	degrade    bool
 	cache      *runner.Cache
 	clock      func() time.Time
 	sample     memtrace.SampleSpec
@@ -132,7 +131,6 @@ func WithFaults(spec faults.Spec) Option {
 	return optionFunc(func(c *config) {
 		if spec.Enabled() {
 			c.fault = spec
-			c.degrade = true
 		}
 	})
 }

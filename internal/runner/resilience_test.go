@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-
-	"nvscavenger/internal/resilience"
 )
 
 // TestDoRecoversWorkerPanic: a panicking run must surface as an error on
@@ -15,9 +13,9 @@ func TestDoRecoversWorkerPanic(t *testing.T) {
 	_, err := e.Do(context.Background(), key("gtc"), func(ctx context.Context) (any, uint64, error) {
 		panic("assertion failed")
 	})
-	var pe *resilience.PanicError
+	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want a wrapped *resilience.PanicError", err)
+		t.Fatalf("err = %v, want a wrapped *PanicError", err)
 	}
 	if pe.Value != "assertion failed" {
 		t.Fatalf("panic value = %v", pe.Value)
@@ -34,80 +32,84 @@ func TestDoRecoversWorkerPanic(t *testing.T) {
 	}
 }
 
-// TestCollectJoinsSiblingErrors is the regression test for the lost-error
-// bug: item "a" fails first and cancels the context; item "b" then fails
-// for its *own* reason.  Both failures must be visible in the returned
-// error — before the fix, b's error was silently discarded.
-func TestCollectJoinsSiblingErrors(t *testing.T) {
-	errA := errors.New("failure A")
-	errB := errors.New("failure B")
-	bReady := make(chan struct{})
-	_, err := Collect(context.Background(), []string{"a", "b"}, func(ctx context.Context, item string) (int, error) {
-		if item == "a" {
-			<-bReady // b is running and will observe the cancellation
-			return 0, errA
-		}
-		close(bReady)
-		<-ctx.Done() // woken by a's failure...
-		return 0, errB // ...but fails with its own error, not ctx.Err()
-	})
-	if !errors.Is(err, errA) {
-		t.Fatalf("err = %v, want it to include %v", err, errA)
-	}
-	if !errors.Is(err, errB) {
-		t.Fatalf("err = %v, want it to include the sibling failure %v", err, errB)
-	}
-}
-
-// TestCollectSingleErrorKeepsIdentity: with exactly one real failure the
-// error comes back unwrapped (not needlessly joined).
+// TestCollectSingleErrorKeepsIdentity: a failed item's error comes back
+// at its index as the identical value (not wrapped or joined).
 func TestCollectSingleErrorKeepsIdentity(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Collect(context.Background(), []int{0, 1, 2}, func(ctx context.Context, i int) (int, error) {
+	_, errs := Collect(context.Background(), []int{0, 1, 2}, func(ctx context.Context, i int) (int, error) {
 		if i == 1 {
 			return 0, boom
 		}
 		return i, nil
 	})
-	if err != boom {
-		t.Fatalf("err = %#v, want the identical error value", err)
+	if errs[1] != boom {
+		t.Fatalf("errs[1] = %#v, want the identical error value", errs[1])
 	}
 }
 
-// TestCollectParentCancellation: when every failure is a cancellation (the
-// parent context died), Collect still reports it.
+// TestCollectParentCancellation: a cancelled parent context reaches every
+// item, and each item's cancellation is reported at its index.
 func TestCollectParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Collect(ctx, []int{0, 1}, func(ctx context.Context, i int) (int, error) {
+	_, errs := Collect(ctx, []int{0, 1}, func(ctx context.Context, i int) (int, error) {
 		return 0, ctx.Err()
 	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for i, err := range errs {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("errs[%d] = %v, want context.Canceled", i, err)
+		}
 	}
 }
 
-// TestCollectPartialKeepsSurvivors: no sibling cancellation — one failed
-// item leaves every other result intact, with errors reported per index.
-func TestCollectPartialKeepsSurvivors(t *testing.T) {
+// TestCollectKeepsSurvivors: no sibling cancellation — an item still
+// running after another has failed keeps a live context, and its result
+// survives next to the failure.
+func TestCollectKeepsSurvivors(t *testing.T) {
 	boom := errors.New("boom")
-	out, errs := CollectPartial(context.Background(), []int{0, 1, 2, 3}, func(ctx context.Context, i int) (int, error) {
-		if i == 2 {
+	failed := make(chan struct{})
+	out, errs := Collect(context.Background(), []int{0, 1}, func(ctx context.Context, i int) (int, error) {
+		if i == 0 {
+			defer close(failed)
 			return 0, boom
 		}
-		return i * 10, nil
+		<-failed
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		return 10, nil
 	})
-	if len(out) != 4 || len(errs) != 4 {
-		t.Fatalf("lengths = %d/%d", len(out), len(errs))
+	if errs[0] != boom || errs[1] != nil {
+		t.Fatalf("errs = %v, want [boom <nil>]", errs)
 	}
-	for i, want := range []int{0, 10, 0, 30} {
-		if out[i] != want {
-			t.Errorf("out[%d] = %d, want %d", i, out[i], want)
-		}
+	if out[1] != 10 {
+		t.Fatalf("out[1] = %d, want the survivor's result", out[1])
 	}
-	for i, wantErr := range []error{nil, nil, boom, nil} {
-		if !errors.Is(errs[i], wantErr) {
-			t.Errorf("errs[%d] = %v, want %v", i, errs[i], wantErr)
-		}
+}
+
+func TestRecoverConvertsPanic(t *testing.T) {
+	err := Recover(func() error { panic("worker died") })
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *PanicError", err)
+	}
+	if pe.Value != "worker died" {
+		t.Fatalf("Value = %v, want the panic payload", pe.Value)
+	}
+	if len(pe.Stack) == 0 {
+		t.Fatal("stack trace must be captured")
+	}
+	if pe.Error() != "recovered panic: worker died" {
+		t.Fatalf("Error() = %q", pe.Error())
+	}
+}
+
+func TestRecoverPassesThroughResults(t *testing.T) {
+	if err := Recover(func() error { return nil }); err != nil {
+		t.Fatalf("err = %v, want nil", err)
+	}
+	boom := errors.New("boom")
+	if err := Recover(func() error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the returned error unchanged", err)
 	}
 }

@@ -20,13 +20,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"nvscavenger/internal/obs"
-	"nvscavenger/internal/resilience"
 	"nvscavenger/internal/stats"
 )
 
@@ -421,21 +421,45 @@ func (e *Engine) execute(ctx context.Context, key Key, fn Func) (any, error) {
 }
 
 // attempt executes fn once, containing a worker panic to this run: the
-// panic surfaces as a *resilience.PanicError instead of killing the whole
-// parallel sweep.  memtrace's invariant assertions still panic at their
-// site; this is where the engine absorbs them.
+// panic surfaces as a *PanicError instead of killing the whole parallel
+// sweep.  memtrace's invariant assertions still panic at their site; this
+// is where the engine absorbs them.
 func (e *Engine) attempt(ctx context.Context, fn Func) (v any, refs uint64, err error) {
-	err = resilience.Recover(func() error {
+	err = Recover(func() error {
 		var ferr error
 		v, refs, ferr = fn(ctx)
 		return ferr
 	})
-	var pe *resilience.PanicError
+	var pe *PanicError
 	if errors.As(err, &pe) {
 		v, refs = nil, 0
 		e.panics.Inc()
 	}
 	return v, refs, err
+}
+
+// PanicError is a panic converted to an error by Recover.  The recovered
+// value and the goroutine stack at the panic site are preserved so chaos
+// reports can show where a worker died.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+// Error renders the recovered value.
+func (e *PanicError) Error() string { return fmt.Sprintf("recovered panic: %v", e.Value) }
+
+// Recover runs fn, converting a panic into a *PanicError.  memtrace's
+// invariant panics (double free, stack-discipline violations) stay panics
+// at their site; this wrapper is how the experiment engine contains them
+// to the failing run instead of letting one bad worker kill a whole sweep.
+func Recover(fn func() error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn()
 }
 
 // emit stamps the event with the engine's next sequence number and hands it
@@ -461,60 +485,12 @@ func (e *Engine) Metrics() Metrics {
 	}
 }
 
-// Collect applies f to every item concurrently and returns the results in
-// input order.  The first failure cancels the context handed to the
-// remaining calls; after all of them finish, every non-cancellation error
-// is reported — a sibling that fails for its own reason after the first
-// cancellation is joined into the returned error, not silently lost.
-// Result order — and therefore any report built from it — is independent
-// of scheduling.
-func Collect[K, T any](ctx context.Context, items []K, f func(ctx context.Context, item K) (T, error)) ([]T, error) {
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	out := make([]T, len(items))
-	errs := make([]error, len(items))
-	var wg sync.WaitGroup
-	for i, item := range items {
-		wg.Add(1)
-		go func(i int, item K) {
-			defer wg.Done()
-			v, err := f(cctx, item)
-			if err != nil {
-				errs[i] = err
-				cancel()
-				return
-			}
-			out[i] = v
-		}(i, item)
-	}
-	wg.Wait()
-	real := realErrors(errs)
-	switch len(real) {
-	case 0:
-		// All failures (if any) were cancellations — either the parent
-		// context died or a sibling's cancel raced a context error ahead
-		// of the real failure; report the first of them.
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	case 1:
-		// Preserve the error's identity when there is only one, so
-		// callers matching with errors.Is/As see it unwrapped.
-		return nil, real[0]
-	default:
-		return nil, errors.Join(real...)
-	}
-}
-
-// CollectPartial applies f to every item concurrently *without* sibling
-// cancellation: a failed item does not abort the rest.  It returns the
-// results and a parallel error slice, both in input order (failed indexes
-// hold T's zero value).  The degraded-sweep path of the experiment session
-// uses this to keep every healthy app's exhibits when one app crashes.
-func CollectPartial[K, T any](ctx context.Context, items []K, f func(ctx context.Context, item K) (T, error)) ([]T, []error) {
+// Collect applies f to every item concurrently and returns the results and
+// a parallel error slice, both in input order (failed indexes hold T's zero
+// value).  Every item runs: a failure never cancels a sibling, so which
+// items fail — and therefore any report or error built from the slices —
+// is independent of scheduling.
+func Collect[K, T any](ctx context.Context, items []K, f func(ctx context.Context, item K) (T, error)) ([]T, []error) {
 	out := make([]T, len(items))
 	errs := make([]error, len(items))
 	var wg sync.WaitGroup
@@ -527,17 +503,4 @@ func CollectPartial[K, T any](ctx context.Context, items []K, f func(ctx context
 	}
 	wg.Wait()
 	return out, errs
-}
-
-// realErrors filters a per-item error slice down to the failures that are
-// not context cancellations, preserving input order.
-func realErrors(errs []error) []error {
-	var real []error
-	for _, err := range errs {
-		if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			continue
-		}
-		real = append(real, err)
-	}
-	return real
 }

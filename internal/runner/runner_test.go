@@ -207,33 +207,22 @@ func TestProgressEvents(t *testing.T) {
 
 func TestCollectOrderAndError(t *testing.T) {
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	out, err := Collect(context.Background(), items, func(ctx context.Context, i int) (int, error) {
-		time.Sleep(time.Duration(7-i) * time.Millisecond) // finish out of order
-		return i * i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-
 	boom := errors.New("boom")
-	_, err = Collect(context.Background(), items, func(ctx context.Context, i int) (int, error) {
+	out, errs := Collect(context.Background(), items, func(ctx context.Context, i int) (int, error) {
+		time.Sleep(time.Duration(7-i) * time.Millisecond) // finish out of order
 		if i == 3 {
 			return 0, boom
 		}
-		select {
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		case <-time.After(time.Second):
-			return i, nil
-		}
+		return i * i, nil
 	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the root cause", err)
+	for i := range items {
+		want, wantErr := i*i, error(nil)
+		if i == 3 {
+			want, wantErr = 0, boom
+		}
+		if out[i] != want || errs[i] != wantErr {
+			t.Fatalf("item %d = (%d, %v), want (%d, %v)", i, out[i], errs[i], want, wantErr)
+		}
 	}
 }
 

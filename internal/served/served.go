@@ -38,20 +38,17 @@ import (
 	"nvscavenger/internal/faults"
 	"nvscavenger/internal/journal"
 	"nvscavenger/internal/obs"
-	"nvscavenger/internal/resilience"
 	"nvscavenger/internal/runner"
 )
 
 // Submission and lifecycle errors.  The HTTP layer maps them onto status
-// codes (ErrQueueFull → 429, ErrDraining/ErrOverloaded → 503,
+// codes (ErrQueueFull → 429, ErrDraining → 503,
 // ErrNotFound → 404).
 var (
 	// ErrQueueFull rejects a submission when the bounded queue is full.
 	ErrQueueFull = errors.New("served: job queue full")
 	// ErrDraining rejects a submission once Drain has begun.
 	ErrDraining = errors.New("served: draining, not accepting jobs")
-	// ErrOverloaded rejects a submission while the failure breaker is open.
-	ErrOverloaded = errors.New("served: breaker open after consecutive job failures")
 	// ErrNotFound reports an unknown job ID.
 	ErrNotFound = errors.New("served: no such job")
 )
@@ -81,11 +78,6 @@ type Config struct {
 	// response bodies (the serving-path chaos hook); other targets are
 	// carried per job via the spec's fault field instead.
 	Fault faults.Spec
-	// Breaker, when non-zero, arms a count-based circuit breaker over job
-	// outcomes: FailureThreshold consecutive failed jobs trip it open and
-	// submissions are rejected with ErrOverloaded for Cooldown calls.
-	// The zero value disables the breaker.
-	Breaker resilience.BreakerConfig
 	// StateDir, when set and the manager is constructed with Open, arms
 	// the crash-safe write-ahead journal: every job lifecycle transition
 	// is logged to StateDir/journal.wal before it is acknowledged, and
@@ -133,8 +125,6 @@ type Manager struct {
 	depth     *obs.Gauge
 	running   *obs.Gauge
 	wall      *obs.Histogram
-
-	breaker *resilience.Breaker
 
 	// jmu serializes journal access and orders it against intake: Submit
 	// and Drain hold it across their state flips, so the journal's record
@@ -236,9 +226,6 @@ func newManager(cfg Config) *Manager {
 	}
 	if cfg.Clock != nil {
 		m.now = cfg.Clock
-	}
-	if cfg.Breaker != (resilience.BreakerConfig{}) {
-		m.breaker = resilience.NewBreaker(cfg.Breaker)
 	}
 	return m
 }
@@ -419,16 +406,12 @@ func (m *Manager) snapshotRecords() []journal.Record {
 func (m *Manager) Registry() *obs.Registry { return m.reg }
 
 // Submit validates spec and enqueues a job for it.  It returns the queued
-// job, or ErrDraining / ErrOverloaded / ErrQueueFull / a validation error.
+// job, or ErrDraining / ErrQueueFull / a validation error.
 // With a journal armed, the submission is acknowledged only after its
 // record is durable: a crash after Submit returns can never lose the job.
 func (m *Manager) Submit(spec experiments.JobSpec) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if m.breaker != nil && !m.breaker.Allow() {
-		m.rejected.Inc()
-		return nil, ErrOverloaded
 	}
 	// jmu is held across the whole admission so the journal's submitted
 	// order matches the queue's, and so draining cannot flip (Drain takes
@@ -645,14 +628,6 @@ func (m *Manager) runJob(job *Job) {
 	job.cancel()
 	m.jlog(journal.Record{Kind: state, Job: job.id, Result: &res})
 	m.maybeCompact()
-
-	if m.breaker != nil {
-		if state == experiments.StateFailed {
-			m.breaker.Failure()
-		} else {
-			m.breaker.Success()
-		}
-	}
 }
 
 // execute runs the job's experiment session and renders its report.

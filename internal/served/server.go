@@ -20,7 +20,7 @@ import (
 //
 //	POST   /jobs             submit a JobSpec; 202 + JobResult (state queued).
 //	                         400 invalid spec, 413 body over 1 MiB, 429
-//	                         queue full, 503 draining or breaker open.
+//	                         queue full, 503 draining.
 //	GET    /jobs             list every job as status JobResults, in
 //	                         submission order.
 //	GET    /jobs/{id}        one job's JobResult (full once terminal).
@@ -100,7 +100,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, ErrQueueFull):
 		status = http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrOverloaded):
+	case errors.Is(err, ErrDraining):
 		status = http.StatusServiceUnavailable
 	}
 	s.writeJSON(w, status, errorBody{Error: err.Error()})

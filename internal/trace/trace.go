@@ -214,8 +214,7 @@ func (b *Buffer[E]) Dropped() uint64 {
 	return b.dropped
 }
 
-// Trips returns 1 once the sink error has tripped sticky, else 0.  It is a
-// counter so the obs export reads the same for buffers and breakers.
+// Trips returns 1 once the sink error has tripped sticky, else 0.
 func (b *Buffer[E]) Trips() uint64 {
 	if b == nil || b.err == nil {
 		return 0
