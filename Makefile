@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: ci lint vet build test race race-obs race-pipeline race-sampling race-served race-journal fuzz-smoke bench bench-e2e-test chaos report
+.PHONY: ci lint vet build test race race-obs race-pipeline race-sampling race-served race-journal fuzz-smoke bench bench-e2e-test chaos reports-check report
 
-ci: lint vet build race-obs race-pipeline race-sampling race-served race-journal race fuzz-smoke bench bench-e2e-test chaos
+ci: lint vet build race-obs race-pipeline race-sampling race-served race-journal race fuzz-smoke bench bench-e2e-test chaos reports-check
 
 # Project-native static analysis: the syntactic passes (determinism,
-# metric naming, the error contract, the sticky-sink contract) plus the
-# flow-sensitive tier (lockorder, ctxflow), over every package.
+# metric naming, the error contract, the sticky-sink contract, no map or
+# fmt in //nvlint:hot per-reference functions) plus the flow-sensitive
+# tier (lockorder, ctxflow), over every package.
 # -stats prints per-pass wall time and finding counts; non-zero on any
 # finding; suppress at the site with //nvlint:ignore <pass> <reason>.
 lint:
@@ -61,17 +62,19 @@ race-journal:
 
 # Fuzz every intake parser briefly, one target per line (go test -fuzz
 # takes one target per package).  The jobs-API spec decoder: no input
-# panics, no spec asking for more than one shard per run is accepted, and
-# every accepted spec's normalized form survives an encode/decode round
-# trip.  The sample and fault spec parsers: no input panics, and every
-# accepted spec parses back from its canonical String unchanged.  The
-# trace-file reader: no input panics, and every record it returns survives
-# a Writer round trip unchanged.
+# panics, and every accepted spec's normalized form survives an
+# encode/decode round trip.  The sample and fault spec parsers: no input
+# panics, and every accepted spec parses back from its canonical String
+# unchanged.  The trace-file reader: no input panics, and every record it
+# returns survives a Writer round trip unchanged.  The cache simulator:
+# for any geometry and access stream, per-level counters and the emitted
+# transaction stream equal those of a plain reference cache.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJobSpec -fuzztime 5s ./internal/experiments
 	$(GO) test -run '^$$' -fuzz FuzzParseSampleSpec -fuzztime 5s ./internal/memtrace
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 5s ./internal/faults
 	$(GO) test -run '^$$' -fuzz FuzzNewReader -fuzztime 5s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzHierarchyMatchesReference -fuzztime 5s ./internal/cachesim
 
 # One pass over the pipeline-throughput and instrumentation-overhead
 # benchmarks: a smoke check that the fused dataflow, with and without its
@@ -107,6 +110,23 @@ chaos:
 		cmp "$$d/j1.txt" "$$d/j4.txt" || { echo "chaos: -only $$1 -fault $$2 differs between -jobs 1 and -jobs 4"; exit 1; }; \
 		echo "chaos: -only $$1 -fault $$2 identical at -jobs 1 and -jobs 4"; \
 	done
+
+# The committed paper-scale exhibits must be what the code prints: write
+# every exhibit at the default scale into a temp dir and require the same
+# file set as reports/, byte for byte (about 17 s on two cores).  After an
+# intended output change, regenerate with
+# `go run ./cmd/nvreport -outdir reports`.
+reports-check:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/nvreport" ./cmd/nvreport; \
+	mkdir "$$d/out"; \
+	"$$d/nvreport" -progress=false -outdir "$$d/out" >/dev/null; \
+	ls reports > "$$d/want"; ls "$$d/out" > "$$d/got"; \
+	diff "$$d/want" "$$d/got" || { echo "reports-check: file set differs from reports/"; exit 1; }; \
+	for f in reports/*.txt; do \
+		cmp "$$f" "$$d/out/$${f#reports/}" || { echo "reports-check: $$f is stale"; exit 1; }; \
+	done; \
+	echo "reports-check: reports/ matches the default-scale output"
 
 report:
 	$(GO) run ./cmd/nvreport

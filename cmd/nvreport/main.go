@@ -80,6 +80,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := cli.CheckRunSize(*scale, *iters); err != nil {
+		return err
+	}
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
 			return err

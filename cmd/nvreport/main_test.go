@@ -105,6 +105,29 @@ func TestFaultFlagRejectsBadSpec(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOutOfRangeScale: -scale 1e308 used to overflow every
+// app's int(base*scale) sizing and silently report a tiny problem, and
+// -scale NaN used to run at the default scale.  Both, the infinities and
+// an iteration count above the cap now fail before any run.
+func TestRunRejectsOutOfRangeScale(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scale", "1e308"},
+		{"-scale", "NaN"},
+		{"-scale", "+Inf"},
+		{"-scale", "-Inf"},
+		{"-iterations", "1001"},
+	} {
+		var out bytes.Buffer
+		err := run(append(args, "-only", "table1", "-progress=false"), &out)
+		if err == nil {
+			t.Errorf("%v: want an error", args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote %d bytes of report", args, out.Len())
+		}
+	}
+}
+
 func TestRunUnknownExhibit(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-only", "fig99"}, &out); err == nil {

@@ -67,6 +67,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := cli.CheckRunSize(*scale, *iters); err != nil {
+		return err
+	}
 	if err := cli.RequireApp(fs, *appName); err != nil {
 		return err
 	}

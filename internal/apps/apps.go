@@ -18,6 +18,7 @@ package apps
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"nvscavenger/internal/memtrace"
@@ -55,6 +56,9 @@ func Run(app App, tr *memtrace.Tracer, iterations int) error {
 func RunContext(ctx context.Context, app App, tr *memtrace.Tracer, iterations int) error {
 	if iterations < 1 {
 		return fmt.Errorf("apps: need at least 1 iteration, got %d", iterations)
+	}
+	if err := CheckIterations(iterations); err != nil {
+		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -96,6 +100,40 @@ func InputOf(app App) string {
 	return "default"
 }
 
+// MaxScale and MaxIterations bound a run's size.  Resident memory grows
+// linearly with scale: the heaviest app, nek5000, holds about 5 MB plus
+// 13 MB per unit of scale (18, 33 and 58 MB at scales 1, 2 and 4), so
+// scale 64 stays under 1 GB for one run.  An iteration adds a few counters
+// per object and no resident data; the cap of 1000 is a hundred times the
+// paper's ten-iteration collection window.
+const (
+	MaxScale      = 64
+	MaxIterations = 1000
+)
+
+// CheckScale rejects a scale no run should start with: NaN, an infinity,
+// or a value above MaxScale.  Apps size their arrays with int(base*scale),
+// which overflows for a huge scale and silently yields a tiny problem, so
+// the bound is checked before any app is built.  Non-positive scales are
+// left to the caller, which either rejects them or reads them as "default".
+func CheckScale(scale float64) error {
+	if math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return fmt.Errorf("apps: scale %v is not a finite number", scale)
+	}
+	if scale > MaxScale {
+		return fmt.Errorf("apps: scale %g exceeds the maximum of %d", scale, MaxScale)
+	}
+	return nil
+}
+
+// CheckIterations rejects an iteration count above MaxIterations.
+func CheckIterations(iterations int) error {
+	if iterations > MaxIterations {
+		return fmt.Errorf("apps: %d iterations exceed the maximum of %d", iterations, MaxIterations)
+	}
+	return nil
+}
+
 // Factory creates a fresh app instance.  Scale selects the problem size:
 // 1.0 is the calibrated default used by the experiment harness; smaller
 // values shrink footprints and run time proportionally (tests use ~0.25).
@@ -117,6 +155,9 @@ func New(name string, scale float64) (App, error) {
 	f, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("apps: unknown app %q (have %v)", name, Names())
+	}
+	if err := CheckScale(scale); err != nil {
+		return nil, err
 	}
 	if scale <= 0 {
 		return nil, fmt.Errorf("apps: non-positive scale %v", scale)

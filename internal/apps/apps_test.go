@@ -2,6 +2,7 @@ package apps
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -142,6 +143,43 @@ func TestNewErrors(t *testing.T) {
 	}
 	if _, err := New("scale-check-app", -1); err == nil {
 		t.Fatal("negative scale must error")
+	}
+}
+
+// TestSizeBounds: a scale that is not finite or lies above MaxScale, and an
+// iteration count above MaxIterations, are refused before any app is built
+// or run; the bounds themselves are accepted.
+func TestSizeBounds(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e308, MaxScale + 0.5} {
+		if err := CheckScale(scale); err == nil {
+			t.Errorf("CheckScale(%v) accepted", scale)
+		}
+	}
+	for _, scale := range []float64{0.01, 1, MaxScale} {
+		if err := CheckScale(scale); err != nil {
+			t.Errorf("CheckScale(%v): %v", scale, err)
+		}
+	}
+	if err := CheckIterations(MaxIterations); err != nil {
+		t.Errorf("CheckIterations(%d): %v", MaxIterations, err)
+	}
+	if err := CheckIterations(MaxIterations + 1); err == nil {
+		t.Errorf("CheckIterations(%d) accepted", MaxIterations+1)
+	}
+
+	Register("size-check-app", func(scale float64) App { return &fakeApp{name: "s"} })
+	defer delete(registry, "size-check-app")
+	for _, scale := range []float64{math.NaN(), math.Inf(1), 1e308} {
+		if _, err := New("size-check-app", scale); err == nil {
+			t.Errorf("New at scale %v must error", scale)
+		}
+	}
+	app := &fakeApp{name: "r"}
+	if err := Run(app, newTracer(), MaxIterations+1); err == nil {
+		t.Error("Run beyond MaxIterations must error")
+	}
+	if app.setupCalls != 0 {
+		t.Errorf("rejected run called Setup %d times", app.setupCalls)
 	}
 }
 

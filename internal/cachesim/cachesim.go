@@ -180,6 +180,8 @@ type evicted struct {
 // access looks up a line address.  On a miss with allocate=true the line is
 // filled, possibly evicting another line (returned).  markDirty sets the
 // dirty bit on the (hit or freshly filled) line.
+//
+//nvlint:hot
 func (l *level) access(lineAddr uint64, markDirty, allocate bool) (hit bool, ev evicted, hasEv bool) {
 	l.clock++
 	setIdx := (lineAddr >> l.lineBits) & l.setMask
@@ -375,6 +377,8 @@ func (s ServiceLevel) String() string {
 // into per-line references, as hardware would; the slowest line wins.
 // A zero-size access is treated as a single-line touch: without the guard,
 // End()-1 underflows and the per-line loop's end marker precedes its start.
+//
+//nvlint:hot
 func (h *Hierarchy) Access(a trace.Access) ServiceLevel {
 	lineSize := uint64(h.l1.cfg.LineSize)
 	first := a.Addr &^ (lineSize - 1)
@@ -394,6 +398,9 @@ func (h *Hierarchy) Access(a trace.Access) ServiceLevel {
 	return deepest
 }
 
+// accessLine runs one line-aligned reference through both levels.
+//
+//nvlint:hot
 func (h *Hierarchy) accessLine(lineAddr uint64, isWrite bool) ServiceLevel {
 	h.accesses++
 

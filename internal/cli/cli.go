@@ -62,6 +62,16 @@ func RequireApp(fs *flag.FlagSet, name string) error {
 	return ValidateApp(name)
 }
 
+// CheckRunSize applies the shared bounds of apps.CheckScale and
+// apps.CheckIterations to the -scale and -iterations flags, so a tool
+// refuses the same sizes the jobs API refuses.
+func CheckRunSize(scale float64, iterations int) error {
+	if err := apps.CheckScale(scale); err != nil {
+		return err
+	}
+	return apps.CheckIterations(iterations)
+}
+
 // WriteJSONFile creates path and hands the file to write (typically a
 // snapshot's WriteJSON), closing it on every path; used by the tools'
 // -json flags.  The write error takes precedence over the close error —

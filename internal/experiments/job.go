@@ -131,7 +131,8 @@ func (s JobSpec) Normalized() JobSpec {
 }
 
 // Validate checks the spec against this build's schema: a speakable
-// version, positive scale/iterations, registered app names, known exhibit
+// version, positive scale/iterations within apps.CheckScale and
+// apps.CheckIterations, registered app names, known exhibit
 // names, a parsable fault spec and a known stack mode.
 func (s JobSpec) Validate() error {
 	if s.SchemaVersion < 0 || s.SchemaVersion > SchemaVersion {
@@ -141,8 +142,14 @@ func (s JobSpec) Validate() error {
 	if s.Scale < 0 {
 		return fmt.Errorf("experiments: scale %g must be positive", s.Scale)
 	}
+	if err := apps.CheckScale(s.Scale); err != nil {
+		return err
+	}
 	if s.Iterations < 0 {
 		return fmt.Errorf("experiments: iterations %d must be positive", s.Iterations)
+	}
+	if err := apps.CheckIterations(s.Iterations); err != nil {
+		return err
 	}
 	registered := apps.Names()
 	for _, name := range s.Apps {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -107,5 +108,29 @@ func TestJobSpecRunCacheKeyPartitions(t *testing.T) {
 	}
 	if a.RunCacheKey() == healthy.RunCacheKey() {
 		t.Error("faulted spec shares the healthy partition")
+	}
+}
+
+// TestJobSpecValidateSizeBounds: scale and iterations go through the
+// shared apps bounds, so an oversized or non-finite scale is refused
+// instead of running a tiny app.
+func TestJobSpecValidateSizeBounds(t *testing.T) {
+	for _, spec := range []JobSpec{
+		{Scale: math.NaN()},
+		{Scale: math.Inf(1)},
+		{Scale: math.Inf(-1)},
+		{Scale: 1e308},
+		{Scale: 64.5},
+		{Iterations: 1001},
+	} {
+		if err := spec.Validate(); err == nil {
+			t.Errorf("Validate(scale %v, iterations %d) accepted", spec.Scale, spec.Iterations)
+		}
+	}
+	if err := (JobSpec{Scale: 64, Iterations: 1000}).Validate(); err != nil {
+		t.Errorf("Validate at the bounds: %v", err)
+	}
+	if _, err := DecodeJobSpec(strings.NewReader(`{"scale":1e308}`)); err == nil {
+		t.Error(`DecodeJobSpec({"scale":1e308}) accepted`)
 	}
 }

@@ -36,6 +36,7 @@ var goldenCases = []struct {
 	{"suppress", "nvscavenger/internal/trace/lintfixture", []string{"determinism"}},
 	{"lockorder", "nvscavenger/internal/lintfixture/lockorder", []string{"lockorder"}},
 	{"ctxflow", "nvscavenger/internal/runner/lintfixture", []string{"ctxflow"}},
+	{"hot", "nvscavenger/internal/lintfixture/hot", []string{"hot"}},
 }
 
 func TestGoldenFixtures(t *testing.T) {
@@ -147,7 +148,7 @@ func TestNewSuiteUnknownPass(t *testing.T) {
 }
 
 func TestPassRegistry(t *testing.T) {
-	want := []string{"ctxflow", "determinism", "errcontract", "lockorder", "metricname", "stickysink"}
+	want := []string{"ctxflow", "determinism", "errcontract", "hot", "lockorder", "metricname", "stickysink"}
 	got := PassNames()
 	if len(got) != len(want) {
 		t.Fatalf("PassNames = %v, want %v", got, want)

@@ -74,8 +74,9 @@ type Tracer struct {
 	iterInstrs []uint64 // retired instructions per iteration
 	instrs     uint64   // instructions in the current iteration
 
-	// per-segment, per-iteration reference counters (Table V input)
-	segIter map[trace.Segment][]trace.Stats
+	// per-segment, per-iteration reference counters (Table V input),
+	// indexed by trace.Segment
+	segIter [trace.SegStack + 1][]trace.Stats
 
 	// stack state
 	frames     []frame
@@ -98,14 +99,8 @@ type Tracer struct {
 	// perfGap accumulates Compute instructions since the last reference.
 	perfGap uint64
 
-	// sampleTick counts references for the periodic sampling gate.
-	sampleTick uint64
-	// sampler holds the seeded gate state of the randomized modes.
+	// sampler holds the gate state of the sampling modes.
 	sampler sampler
-	// sampleBytes accumulates observed access bytes per object under byte
-	// sampling; the Estimator reads it to convert byte weights back into
-	// reference counts.
-	sampleBytes map[ObjectID]uint64
 	// Sampled counts references actually observed (== all references when
 	// sampling is off).
 	Sampled uint64
@@ -140,12 +135,8 @@ func New(cfg Config) *Tracer {
 		routines:   map[string]*Object{},
 		heap:       newHeapState(),
 		globals:    newGlobalState(),
-		segIter:    map[trace.Segment][]trace.Stats{},
 		iterInstrs: []uint64{0},
 		sampler:    newSampler(spec),
-	}
-	if spec.Mode == SampleBytes && spec.Enabled() {
-		t.sampleBytes = map[ObjectID]uint64{}
 	}
 	if cfg.StackMode == FastStack {
 		t.stackObj = t.reg.newObject(Object{
@@ -236,10 +227,12 @@ func (t *Tracer) IterationInstructions(i int) uint64 {
 }
 
 // access is the single entry point for every memory reference.
+//
+//nvlint:hot
 func (t *Tracer) access(addr uint64, size uint8, op trace.Op) {
 	t.instrs++ // a reference is one retired instruction
 
-	if t.sampler.spec.Enabled() && !t.sampler.observe(&t.sampleTick, size) {
+	if t.sampler.spec.Enabled() && !t.sampler.observe(size) {
 		// The reference retired but is not observed: it belongs in the
 		// instruction gap of the next observed perf event, so gap sums
 		// still add up to true retired instructions at any rate (a
@@ -252,12 +245,11 @@ func (t *Tracer) access(addr uint64, size uint8, op trace.Op) {
 	t.Sampled++
 
 	seg := t.classify(addr)
-	stats := t.segIter[seg]
-	for len(stats) <= t.iter {
-		stats = append(stats, trace.Stats{})
+	stats := &t.segIter[seg]
+	for len(*stats) <= t.iter {
+		*stats = append(*stats, trace.Stats{})
 	}
-	stats[t.iter].Observe(trace.Access{Addr: addr, Size: size, Op: op})
-	t.segIter[seg] = stats
+	(*stats)[t.iter].Observe(trace.Access{Addr: addr, Size: size, Op: op})
 
 	var obj *Object
 	switch seg {
@@ -269,9 +261,7 @@ func (t *Tracer) access(addr uint64, size uint8, op trace.Op) {
 	if obj != nil {
 		obj.record(t.iter, op == trace.Write, 1)
 		obj.notePattern(addr)
-		if t.sampleBytes != nil {
-			t.sampleBytes[obj.ID] += uint64(size)
-		}
+		obj.sampledBytes += uint64(size)
 	} else if seg == trace.SegUnknown {
 		t.Unknown++
 	}
@@ -309,8 +299,11 @@ func (t *Tracer) classify(addr uint64) trace.Segment {
 }
 
 // SegmentStats returns the aggregate counters for one segment in iteration
-// i (zero value if none).
+// i (zero value if none, or if seg is not a segment).
 func (t *Tracer) SegmentStats(seg trace.Segment, iter int) trace.Stats {
+	if int(seg) >= len(t.segIter) {
+		return trace.Stats{}
+	}
 	s := t.segIter[seg]
 	if iter < 0 || iter >= len(s) {
 		return trace.Stats{}

@@ -287,3 +287,22 @@ func TestMatHelpers(t *testing.T) {
 		t.Fatal("global matrix should be in global segment")
 	}
 }
+
+// TestSegmentStatsOutOfRangeSegment: the per-segment counters are an
+// array indexed by segment, so a value past the last segment must read as
+// the zero value instead of indexing past the array.
+func TestSegmentStatsOutOfRangeSegment(t *testing.T) {
+	tr := newFast(t)
+	g, _ := tr.GlobalF64("g", 4)
+	tr.BeginIteration()
+	g.Store(0, 1)
+	if got := tr.SegmentStats(trace.SegGlobal, 1); got.Writes != 1 {
+		t.Fatalf("global writes in iteration 1 = %d, want 1", got.Writes)
+	}
+	if got := tr.SegmentStats(trace.Segment(200), 1); got != (trace.Stats{}) {
+		t.Errorf("SegmentStats(200, 1) = %+v, want the zero value", got)
+	}
+	if got := tr.SegmentTotals(trace.Segment(200), 0, 1); got != (trace.Stats{}) {
+		t.Errorf("SegmentTotals(200, 0, 1) = %+v, want the zero value", got)
+	}
+}

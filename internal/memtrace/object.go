@@ -54,6 +54,10 @@ type Object struct {
 	// touched counts the number of distinct main-loop iterations (>0) in
 	// which the object was referenced.
 	touched int
+	// sampledBytes accumulates the bytes of the object's observed
+	// references; under byte sampling the Estimator turns it back into
+	// reference counts.
+	sampledBytes uint64
 
 	// access-pattern tracking: the deltas between consecutive references
 	// inside the object classify it as sequential, strided, or random.

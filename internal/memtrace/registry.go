@@ -176,6 +176,8 @@ func (r *registry) rebalance() {
 }
 
 // lookup resolves addr to the live object containing it, or nil.
+//
+//nvlint:hot
 func (r *registry) lookup(addr uint64) *Object {
 	r.Lookups++
 	// 1. software cache, most recent first
@@ -213,11 +215,3 @@ func (r *registry) cacheInsert(o *Object) {
 
 // allObjects returns every object ever registered.
 func (r *registry) allObjects() []*Object { return r.objects }
-
-// object returns the object with the given ID, or nil.
-func (r *registry) object(id ObjectID) *Object {
-	if int(id) < len(r.objects) {
-		return r.objects[id]
-	}
-	return nil
-}

@@ -12,7 +12,7 @@ package memtrace
 //
 // Three selection disciplines are provided:
 //
-//   - SamplePeriodic: the legacy modulo gate, every Rate-th reference.
+//   - SamplePeriodic: every Rate-th reference, counted down per tracer.
 //     Cheap and deterministic, but phase-locks with strided loops.
 //   - SampleBernoulli: each reference is observed independently with
 //     probability 1/Rate, drawn from a seeded xorshift64* PRNG.  No phase
@@ -40,7 +40,7 @@ type SampleMode uint8
 const (
 	// SampleOff observes every reference (the paper's choice).
 	SampleOff SampleMode = iota
-	// SamplePeriodic observes every Rate-th reference (modulo gate).
+	// SamplePeriodic observes every Rate-th reference (countdown gate).
 	SamplePeriodic
 	// SampleBernoulli observes each reference with probability 1/Rate.
 	SampleBernoulli
@@ -190,6 +190,9 @@ func (x *xorshift64s) next() uint64 {
 type sampler struct {
 	spec SampleSpec
 	rng  xorshift64s
+	// countdown is the number of references left until the next periodic
+	// observation (SamplePeriodic); it restarts at Rate on each one.
+	countdown uint64
 	// cut is the Bernoulli acceptance bound: observe when next() < cut.
 	cut uint64
 	// byteTick accumulates accessed bytes toward byteNext (SampleBytes).
@@ -204,6 +207,8 @@ func newSampler(spec SampleSpec) sampler {
 		return s
 	}
 	switch spec.Mode {
+	case SamplePeriodic:
+		s.countdown = spec.Rate
 	case SampleBernoulli:
 		s.cut = ^uint64(0)/spec.Rate + 1
 	case SampleBytes:
@@ -221,11 +226,18 @@ func (s *sampler) drawThreshold() uint64 {
 }
 
 // observe decides whether one reference of the given size is observed.
-func (s *sampler) observe(tick *uint64, size uint8) bool {
+// The periodic gate observes the Rate-th, 2*Rate-th, ... reference.
+//
+//nvlint:hot
+func (s *sampler) observe(size uint8) bool {
 	switch s.spec.Mode {
 	case SamplePeriodic:
-		*tick++
-		return *tick%s.spec.Rate == 0
+		s.countdown--
+		if s.countdown != 0 {
+			return false
+		}
+		s.countdown = s.spec.Rate
+		return true
 	case SampleBernoulli:
 		return s.rng.next() < s.cut
 	case SampleBytes:
@@ -264,12 +276,10 @@ type Estimator struct {
 func (t *Tracer) Estimator() Estimator {
 	e := Estimator{spec: t.sampler.spec}
 	if t.sampler.spec.Mode == SampleBytes && t.sampler.spec.Enabled() {
-		e.bytesPerRef = make(map[ObjectID]float64, len(t.sampleBytes))
-		for id, bytes := range t.sampleBytes {
-			if o := t.reg.object(id); o != nil {
-				if refs := o.Total().Refs(); refs > 0 {
-					e.bytesPerRef[id] = float64(bytes) / float64(refs)
-				}
+		e.bytesPerRef = map[ObjectID]float64{}
+		for _, o := range t.reg.allObjects() {
+			if refs := o.Total().Refs(); refs > 0 {
+				e.bytesPerRef[o.ID] = float64(o.sampledBytes) / float64(refs)
 			}
 		}
 	}

@@ -277,3 +277,77 @@ func TestByteSamplingWeightsByBytes(t *testing.T) {
 		t.Errorf("byte sampling observed %d of %d, want ~%.0f", tr.Sampled, total, want)
 	}
 }
+
+// TestPeriodicGateMatchesModulo: the periodic gate counts down instead of
+// dividing, and must observe exactly the references a modulo gate would —
+// the i-th reference (1-based) when i%rate == 0.
+func TestPeriodicGateMatchesModulo(t *testing.T) {
+	const refs = 100_000
+	for _, rate := range []uint64{2, 3, 64, 1000} {
+		s := newSampler(SampleSpec{Mode: SamplePeriodic, Rate: rate})
+		observed := 0
+		for i := uint64(1); i <= refs; i++ {
+			got := s.observe(8)
+			if want := i%rate == 0; got != want {
+				t.Fatalf("rate %d: reference %d observed=%v, want %v", rate, i, got, want)
+			}
+			if got {
+				observed++
+			}
+		}
+		if want := refs / int(rate); observed != want {
+			t.Errorf("rate %d: observed %d of %d references, want %d", rate, observed, refs, want)
+		}
+	}
+}
+
+// mixedSizeWorkload touches objects with 1-, 4- and 8-byte references,
+// one of them with two sizes, so byte-sampling weights differ per object.
+func mixedSizeWorkload(tr *Tracer) {
+	a, aObj := tr.GlobalF64("a", 64)
+	b, _ := tr.GlobalF32("b", 64)
+	h, hObj := tr.HeapF32("h", "w.go:1", 256)
+	tr.BeginIteration()
+	for k := 0; k < 4096; k++ {
+		a.Store(k%64, 1)
+		if k%3 == 0 {
+			tr.access(aObj.Base+uint64(k%64)*4, 4, trace.Read)
+		}
+		b.Store(k%64, 2)
+		_ = h.Load(k % 256)
+		if k%7 == 0 {
+			tr.access(hObj.Base+uint64(k%256), 1, trace.Write)
+		}
+	}
+	tr.Free(hObj)
+	_ = a.Load(0)
+}
+
+// TestByteSamplingFactorsPinned pins every object's byte-sampling factor
+// on a fixed mixed-size run.  The values were produced when the sampled
+// byte weights lived in a per-tracer map keyed by object ID; keeping them
+// on the object must not move any of them.  The stack object is never
+// observed, so its factor is 0 ("lost").
+func TestByteSamplingFactorsPinned(t *testing.T) {
+	want := map[uint64]map[string]float64{
+		1: {"stack": 0, "a": 6.4721845318860245, "b": 12, "h": 12.338884866039102},
+		2: {"stack": 0, "a": 6.589690721649484, "b": 12, "h": 12.235979606700655},
+	}
+	for seed, factors := range want {
+		tr := New(Config{Sample: SampleSpec{Mode: SampleBytes, Rate: 48, Seed: seed}})
+		mixedSizeWorkload(tr)
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		est := tr.Estimator()
+		objs := tr.Objects()
+		if len(objs) != len(factors) {
+			t.Fatalf("seed %d: %d objects, want %d", seed, len(objs), len(factors))
+		}
+		for _, o := range objs {
+			if got := est.Factor(o); got != factors[o.Name] {
+				t.Errorf("seed %d: Factor(%s) = %v, want %v", seed, o.Name, got, factors[o.Name])
+			}
+		}
+	}
+}

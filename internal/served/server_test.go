@@ -177,6 +177,8 @@ func TestSubmitValidation(t *testing.T) {
 	for _, spec := range []string{
 		`{not json`,
 		`{"scale":-1}`,
+		`{"scale":1e308}`,
+		`{"iterations":1001}`,
 		`{"apps":["nosuchapp"]}`,
 		`{"exhibits":["fig99"]}`,
 		`{"mode":"turbo"}`,
